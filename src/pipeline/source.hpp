@@ -32,8 +32,7 @@ class FlowSource {
 };
 
 /// The in-memory path: wraps an existing std::vector<NdtRecord> dataset
-/// (synthetic or CSV-loaded). Keeps the legacy analysis API alive on top of
-/// the pipeline.
+/// (synthetic or CSV-loaded) — the paper-scale fig2 run and the examples.
 class MemorySource final : public FlowSource {
  public:
   explicit MemorySource(std::span<const mlab::NdtRecord> dataset) : dataset_{dataset} {}

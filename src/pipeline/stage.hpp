@@ -1,10 +1,9 @@
 // The streaming stage interface — one analysis API under the offline
-// pipeline, the legacy passive study, and the ingest daemon.
+// pipeline and the ingest daemon.
 //
-// PR 3's pipeline hard-wired "index a FlowSource from begin to end" into
-// run_pipeline and duplicated the per-record loop in run_passive_study. A
-// long-running service can't be written against that shape: its input has
-// no size(), arrives in bursts, and never ends. This header splits the loop
+// "Index a FlowSource from begin to end" is the offline shape, and a
+// long-running service can't be written against it: its input has no
+// size(), arrives in bursts, and never ends. This header splits the loop
 // into the two halves every client composes:
 //
 //   PullSource  — "give me up to N flows"; reports kBlocked (stream idle,

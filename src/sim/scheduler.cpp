@@ -62,12 +62,10 @@ void Scheduler::push_heap_entry(const Entry& e) {
 }
 
 void Scheduler::place(const Entry& e) {
-  // Every far-enough event goes through a bucket: cancellable events because
-  // a cancelled bucket entry dies in place without touching the heap, and
-  // deliveries (slot == kNoSlot) because parking a bandwidth-delay window of
-  // in-flight packets in buckets keeps the binary heap down to the current
-  // tick's worth of events — the difference between O(log 10k) and O(log 100)
-  // per operation in a busy dumbbell.
+  // Every timer due two or more ticks out goes through a bucket: insert is
+  // O(1), and a cancelled bucket entry dies in place without touching the
+  // heap, so the heap holds only the current tick's worth of timers.
+  // (In-flight packets never come here; they ride delivery batches.)
   const std::uint64_t tick = tick_of(e.at);
   const std::uint64_t delta = tick - wheel_tick_;  // at >= now implies tick >= cursor - 1
   if (delta >= kMinWheelTicks && delta < kMaxWheelTicks &&
@@ -78,15 +76,6 @@ void Scheduler::place(const Entry& e) {
     occupied_[level] |= 1ull << bucket;
     if (e.slot != kNoSlot) slots_[e.slot].loc = wheel_loc(level, bucket);
     ++wheel_size_;
-    if (wheel_next_valid_) {
-      // Keep the memoized next-work tick exact: a level-0 entry acts at its
-      // own tick, a higher-level one when the cursor enters its block
-      // (which is strictly ahead of the cursor — delta >= 64^level puts the
-      // target in a later block, so no wrap ambiguity here).
-      const std::uint64_t action =
-          level == 0 ? tick : (tick >> (kSlotBits * level)) << (kSlotBits * level);
-      if (action < wheel_next_) wheel_next_ = action;
-    }
     return;
   }
   push_heap_entry(e);
@@ -134,19 +123,6 @@ void Scheduler::schedule_fire_at(Time at, RawCallback fn, void* ctx, std::uint64
   place(e);
 }
 
-void Scheduler::schedule_deliver_handle_at(Time at, PacketSink& sink, PacketPool::Handle h) {
-  assert(at >= now_ && "cannot schedule into the past");
-  Entry e;
-  e.at = at;
-  e.seq = next_seq_++;
-  e.slot = kNoSlot;
-  e.gen = 0;
-  e.kind = Kind::kDeliver;
-  e.u.deliver = {&sink, h};
-  ++live_;
-  place(e);
-}
-
 Scheduler::BatchId Scheduler::register_delivery_batch(PacketSink& sink) {
   const auto id = static_cast<BatchId>(batches_.size());
   batches_.emplace_back();
@@ -161,62 +137,51 @@ void Scheduler::rebind_delivery_batch(BatchId id, PacketSink& sink) {
 void Scheduler::schedule_deliver_batch_handle_at(Time at, BatchId id, PacketPool::Handle h) {
   assert(at >= now_ && "cannot schedule into the past");
   DeliveryBatch& q = batches_[id];
-  if (q.head == q.at.size()) {
-    if (q.head != 0) {
-      // Empty again: reset the consumed prefix so a steady-state pipe reuses
-      // the same few slots instead of growing the vectors forever.
-      q.at.clear();
-      q.seq.clear();
-      q.handle.clear();
-      q.head = 0;
-    }
-  } else if (at < q.at.back()) {
-    // Out-of-order append: keep [head, size) a sorted run by routing this
-    // delivery through a regular per-event entry. Note the sink is captured
-    // *now* — a later rebind_delivery_batch() won't redirect it; the
-    // monotonic producers (Link, DelayLine) never take this path.
-    schedule_deliver_handle_at(at, *q.sink, h);
-    return;
+  if (q.head != 0 && q.head == q.at.size()) {
+    // Empty again: reset the consumed prefix so a steady-state pipe reuses
+    // the same few slots instead of growing the vectors forever.
+    q.at.clear();
+    q.seq.clear();
+    q.handle.clear();
+    q.head = 0;
   }
   const std::uint64_t seq = next_seq_++;
-  const bool was_empty = q.at.empty();
-  q.at.push_back(at);
-  q.seq.push_back(seq);
-  q.handle.push_back(h);
   ++live_;
   ++batch_live_;
-  if (was_empty) {
-    // A new front appeared; it displaces the cached minimum only if strictly
-    // earlier (its seq is the newest, so equal times lose the tie-break).
-    // Appends to a non-empty batch never change that batch's front. During a
-    // dispatch_batch drain the cached minimum may point at a batch consumed
-    // empty (it is recomputed when the drain finishes) — treat that as
-    // displaced too, never read its front.
-    if (batch_min_ == kNoBatch) {
-      batch_min_ = id;
-    } else {
-      const DeliveryBatch& m = batches_[batch_min_];
-      if (m.head == m.at.size() || at < m.at[m.head]) batch_min_ = id;
-    }
+  if (q.at.empty() || at >= q.at.back()) {
+    q.at.push_back(at);
+    q.seq.push_back(seq);
+    q.handle.push_back(h);
+    return;
   }
+  // Out-of-order append (fixed-delay producers never make one): insert after
+  // every queued delivery at or before `at`. Its seq is the newest, so it
+  // loses every equal-time tie and [head, size) stays in firing order.
+  const auto pos = std::upper_bound(q.at.begin() + static_cast<std::ptrdiff_t>(q.head),
+                                    q.at.end(), at) -
+                   q.at.begin();
+  q.at.insert(q.at.begin() + pos, at);
+  q.seq.insert(q.seq.begin() + pos, seq);
+  q.handle.insert(q.handle.begin() + pos, h);
 }
 
-void Scheduler::recompute_batch_min() {
-  batch_min_ = kNoBatch;
-  if (batch_live_ == 0) return;
-  Time best = Time::zero();
+std::uint32_t Scheduler::earliest_batch() const {
+  std::uint32_t best = kNoBatch;
+  if (batch_live_ == 0) return best;
+  Time best_at = Time::zero();
   std::uint64_t best_seq = 0;
   for (std::uint32_t b = 0; b < batches_.size(); ++b) {
     const DeliveryBatch& q = batches_[b];
     if (q.head == q.at.size()) continue;
     const Time qa = q.at[q.head];
     const std::uint64_t qs = q.seq[q.head];
-    if (batch_min_ == kNoBatch || qa < best || (qa == best && qs < best_seq)) {
-      batch_min_ = b;
-      best = qa;
+    if (best == kNoBatch || qa < best_at || (qa == best_at && qs < best_seq)) {
+      best = b;
+      best_at = qa;
       best_seq = qs;
     }
   }
+  return best;
 }
 
 void Scheduler::cancel(EventId id) {
@@ -235,8 +200,6 @@ void Scheduler::cancel(EventId id) {
   // touches one hot counter where removal touches the bucket's entry array.)
   if (loc == kLocHeap) {
     if (++stale_ >= 64 && stale_ > heap_.size() / 2) compact();
-  } else if (loc == kLocReady) {
-    ++ready_stale_;  // the batch drains within its tick; dropped at pop
   } else {
     if (++wheel_stale_ >= 64 && wheel_stale_ * 2 > wheel_size_) sweep_wheel();
   }
@@ -263,12 +226,7 @@ void Scheduler::sweep_wheel() {
 }
 
 std::uint64_t Scheduler::next_wheel_tick(std::uint64_t limit) const {
-  // The scan result is memoized in wheel_next_ (see the member comment):
-  // hot callers — pop_next and the batch drain's bound recompute — hit the
-  // cache, and only a processed tick or a cursor jump past the cached value
-  // forces a rescan.
-  if (wheel_next_valid_ && wheel_next_ >= wheel_tick_) return std::min(limit, wheel_next_);
-  std::uint64_t best = UINT64_MAX;
+  std::uint64_t best = limit;
   // Level 0 buckets spill at their own tick.
   if (occupied_[0] != 0) {
     const unsigned cur = static_cast<unsigned>(wheel_tick_ & kSlotMask);
@@ -290,9 +248,7 @@ std::uint64_t Scheduler::next_wheel_tick(std::uint64_t limit) const {
     if (d == 0 && wheel_tick_ != (block << shift)) d = kSlotsPerLevel;
     best = std::min(best, (block + d) << shift);
   }
-  wheel_next_ = best;
-  wheel_next_valid_ = true;
-  return std::min(limit, best);
+  return best;
 }
 
 void Scheduler::cascade(int level, std::uint64_t bucket) {
@@ -312,38 +268,14 @@ void Scheduler::cascade(int level, std::uint64_t bucket) {
 }
 
 void Scheduler::process_tick(std::uint64_t t) {
-  // This tick's work is being consumed; the memoized next-work tick must be
-  // rediscovered by the next scan (cascades re-place into an invalid hint,
-  // which place() deliberately leaves untouched).
-  wheel_next_valid_ = false;
-  // Entering a new block at any level cascades that level's bucket first
-  // (highest level first so entries can fall several levels in one tick).
-  for (int l = kLevels - 1; l >= 1; --l) {
+  // Entering a new block at any level cascades that level's bucket, highest
+  // level first so entries can fall several levels in one tick. Level 0
+  // enters a new block every tick; its bucket holds exactly this tick's
+  // timers, which place() routes into the heap.
+  for (int l = kLevels - 1; l >= 0; --l) {
     const int shift = kSlotBits * l;
     if ((t & ((1ull << shift) - 1)) == 0) cascade(l, (t >> shift) & kSlotMask);
   }
-  // Spill the level-0 bucket due at this tick into the ready batch: sort it
-  // once by (time, seq) and consume from the front in O(1), instead of
-  // paying a heap push *and* pop per entry. Batches append in tick order and
-  // each batch's times lie within its tick, so the whole batch stays
-  // globally sorted; events scheduled after the spill land in the heap and
-  // pop_next() merges the two fronts by the same (time, seq) key — the
-  // firing order (and the FIFO tie-break) is exactly the heap-only order.
-  auto& b = wheel_[0][t & kSlotMask];
-  occupied_[0] &= ~(1ull << (t & kSlotMask));
-  if (b.empty()) return;
-  wheel_size_ -= b.size();
-  const auto batch_start = static_cast<std::ptrdiff_t>(ready_.size());
-  for (const Entry& e : b) {
-    if (!is_live(e)) {
-      --wheel_stale_;
-      continue;
-    }
-    if (e.slot != kNoSlot) slots_[e.slot].loc = kLocReady;
-    ready_.push_back(e);
-  }
-  b.clear();
-  std::sort(ready_.begin() + batch_start, ready_.end(), earlier);
 }
 
 void Scheduler::catch_up_wheel(std::uint64_t target) {
@@ -364,39 +296,29 @@ void Scheduler::catch_up_wheel(std::uint64_t target) {
 }
 
 bool Scheduler::pop_next(Entry& out, Time limit) {
+  // Spilling the wheel never touches a delivery batch, so the batch front
+  // holds across the catch-up iterations below.
+  const std::uint32_t bid = earliest_batch();
+  const DeliveryBatch* const bq = bid == kNoBatch ? nullptr : &batches_[bid];
   for (;;) {
-    // Drop stale (cancelled) entries at either front without executing.
+    // Drop stale (cancelled) entries at the heap front without executing.
     while (!heap_.empty() && !is_live(heap_.front())) {
       pop_front();
       --stale_;
-    }
-    while (ready_pos_ < ready_.size() && !is_live(ready_[ready_pos_])) {
-      ++ready_pos_;
-      --ready_stale_;
-    }
-    if (ready_pos_ != 0 && ready_pos_ == ready_.size()) {
-      ready_.clear();  // keeps capacity for the next spill
-      ready_pos_ = 0;
     }
     // Anything in the wheel due before the earliest known event (or the
     // limit) must spill first, or we would fire out of order.
     if (wheel_size_ > 0) {
       Time horizon = limit;
       if (!heap_.empty() && heap_.front().at < horizon) horizon = heap_.front().at;
-      if (ready_pos_ < ready_.size() && ready_[ready_pos_].at < horizon) {
-        horizon = ready_[ready_pos_].at;
-      }
-      if (batch_min_ != kNoBatch) {
-        const DeliveryBatch& q = batches_[batch_min_];
-        if (q.at[q.head] < horizon) horizon = q.at[q.head];
-      }
+      if (bq != nullptr && bq->at[bq->head] < horizon) horizon = bq->at[bq->head];
       std::uint64_t target = tick_of(horizon) + 1;
       if (target > wheel_tick_) {
         // A bare limit (nothing queued near-term) can lie far past the next
         // wheel event; stepping the cursor straight there would strand it in
         // the future and divert every later timer to the heap. Stop just
         // past the first tick where the wheel actually does work, then
-        // re-evaluate with the fresh fronts.
+        // re-evaluate with the fresh heap front.
         target = std::min(target, next_wheel_tick(target) + 1);
         if (target > wheel_tick_) {
           catch_up_wheel(target);
@@ -404,37 +326,27 @@ bool Scheduler::pop_next(Entry& out, Time limit) {
         }
       }
     }
-    const bool have_ready = ready_pos_ < ready_.size();
-    const bool have_heap = !heap_.empty();
-    const bool take_ready =
-        have_ready && (!have_heap || earlier(ready_[ready_pos_], heap_.front()));
-    const Entry* front =
-        have_ready || have_heap ? (take_ready ? &ready_[ready_pos_] : &heap_.front()) : nullptr;
-    // Merge the batch minimum's front in by the same (time, seq) key. When it
-    // wins, synthesize a kDeliverBatch dispatch — the queue itself is
-    // consumed by dispatch_batch(), nothing is popped here.
-    if (batch_min_ != kNoBatch) {
-      const DeliveryBatch& q = batches_[batch_min_];
-      const Time qa = q.at[q.head];
-      const std::uint64_t qs = q.seq[q.head];
-      if (front == nullptr || qa < front->at || (qa == front->at && qs < front->seq)) {
+    // Merge the earliest batch front in by (time, seq). When it wins,
+    // synthesize a kDeliverBatch dispatch — the queue itself is consumed by
+    // dispatch_batch(), nothing is popped here.
+    if (bq != nullptr) {
+      const Time qa = bq->at[bq->head];
+      const std::uint64_t qs = bq->seq[bq->head];
+      if (heap_.empty() || qa < heap_.front().at ||
+          (qa == heap_.front().at && qs < heap_.front().seq)) {
         if (qa > limit) return false;
         out.at = qa;
         out.seq = qs;
         out.slot = kNoSlot;
         out.gen = 0;
         out.kind = Kind::kDeliverBatch;
-        out.u.batch.id = batch_min_;
+        out.u.batch.id = bid;
         return true;
       }
     }
-    if (front == nullptr || front->at > limit) return false;
-    out = *front;
-    if (take_ready) {
-      ++ready_pos_;
-    } else {
-      pop_front();
-    }
+    if (heap_.empty() || heap_.front().at > limit) return false;
+    out = heap_.front();
+    pop_front();
     return true;
   }
 }
@@ -453,15 +365,6 @@ void Scheduler::dispatch(const Entry& e, Time limit) {
   now_ = e.at;
   ++executed_;
   switch (e.kind) {
-    case Kind::kDeliver: {
-      --live_;
-      const PacketPool::Handle h = e.u.deliver.handle;
-      // The deque-backed pool keeps this reference valid even if the sink
-      // acquires new handles (e.g. an ACK turned around into a send).
-      e.u.deliver.sink->deliver(pool_.get(h));
-      pool_.release(h);
-      break;
-    }
     case Kind::kCall:
       if (e.slot != kNoSlot) {
         release_slot_discard(e.slot);  // before the call: it may re-arm the same timer
@@ -483,7 +386,7 @@ void Scheduler::dispatch(const Entry& e, Time limit) {
 void Scheduler::dispatch_batch(std::uint32_t id, Time limit, bool single_step) {
   // Which structure owns the current bound. Only a heap-owned bound can be
   // fused (fired inline below); the others hand control back to pop_next.
-  enum class Src : std::uint8_t { kLimit, kHeap, kReady, kWheel, kBatch };
+  enum class Src : std::uint8_t { kLimit, kHeap, kWheel, kBatch };
   Time bt = limit;
   std::uint64_t bs = 0;
   Src src = Src::kLimit;
@@ -518,14 +421,6 @@ void Scheduler::dispatch_batch(std::uint32_t id, Time limit, bool single_step) {
           bt = e.at;
           bs = e.seq;
           src = Src::kHeap;
-        }
-      }
-      if (ready_pos_ < ready_.size()) {
-        const Entry& e = ready_[ready_pos_];
-        if (e.at < bt || (e.at == bt && e.seq < bs)) {
-          bt = e.at;
-          bs = e.seq;
-          src = Src::kReady;
         }
       }
       // Nothing in the wheel can fire before the cursor's tick — when that
@@ -568,8 +463,8 @@ void Scheduler::dispatch_batch(std::uint32_t id, Time limit, bool single_step) {
       // The next event is not ours. When it is the live heap front — in a
       // busy sim deliveries and timers interleave tightly — fire it inline
       // and keep draining: bouncing through pop_next costs more than the
-      // event itself. Ready/wheel/other-batch fronts are rarer; hand those
-      // back to pop_next's full merge (and run_one must stop regardless).
+      // event itself. Wheel/other-batch fronts are rarer; hand those back to
+      // pop_next's full merge (and run_one must stop regardless).
       if (single_step || src != Src::kHeap || heap_.empty()) break;
       const Entry e = heap_.front();
       if (e.at != bt || e.seq != bs) {
@@ -619,7 +514,6 @@ void Scheduler::dispatch_batch(std::uint32_t id, Time limit, bool single_step) {
     }
     if (single_step) break;
   }
-  recompute_batch_min();
 }
 
 bool Scheduler::run_one() {

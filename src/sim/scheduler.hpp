@@ -2,48 +2,38 @@
 //
 // The simulator is single threaded and driven entirely by this event queue.
 // Components schedule callbacks at absolute times; ties are broken by
-// insertion order so runs are fully deterministic.
+// insertion order so runs are fully deterministic: events fire in ascending
+// (time, seq), where seq is one global schedule counter.
 //
-// Event engine v2 (see DESIGN.md "Event engine v2" for the full argument):
+// Three structures hold pending events (see DESIGN.md "Event engine v2",
+// "Event engine v3" and "What the engine keeps"):
 //
-//  * Typed event records. The time-ordered entries carry their payload
-//    inline as a small tagged union — a raw function pointer + context for
-//    timer/wake events (kCall), a sink pointer + PacketPool handle for
-//    packet deliveries (kDeliver), and a slab-resident std::function only as
-//    the generic fallback (kClosure). The common paths (link delivery,
-//    RTO/pacing timers) therefore allocate nothing and dispatch through a
-//    switch, not type erasure.
+//  * A binary heap of tagged entries. An entry carries its payload inline —
+//    a raw function pointer + context (kCall, the timer/wake shape) or a
+//    slab-resident std::function (kClosure, the generic fallback) — so hot
+//    timers allocate nothing and dispatch through a switch. Cancellable
+//    events hold a generation-counted slab slot, so a stale id never aliases
+//    a newer event; fire-and-forget calls skip the slab (slot == kNoSlot).
 //
-//  * A hierarchical timer wheel (4 levels x 64 slots, ~1 ms ticks) sits in
-//    front of the binary heap and absorbs the cancellation-heavy timers:
-//    an RTO that is re-armed on every ACK is pushed into a bucket in O(1)
-//    and, once cancelled, is dropped in place — it never touches the heap.
-//    Entries the cursor reaches spill into the heap *before* their due time,
-//    so all firing still goes through the single (time, seq) heap order and
-//    the FIFO tie-break — and with it bit-identical experiment output — is
-//    preserved exactly.
+//  * A hierarchical timer wheel (4 levels x 64 slots, ~1 ms ticks) in front
+//    of the heap absorbs the cancellation-heavy timers: an RTO re-armed on
+//    every ACK is pushed into a bucket in O(1) and, once cancelled, dies in
+//    place without touching the heap. Buckets spill into the heap *before*
+//    their due tick, so every timer still fires through the heap's order.
 //
-//  * Cancellation still works through the slab: cancellable events hold a
-//    generation-counted slot; a stale id never aliases a newer event.
-//    Fire-and-forget deliveries skip the slab entirely (slot == kNoSlot).
+//  * Per-sink delivery batches carry every in-flight packet. A component
+//    that delivers packets (a Link's propagation pipe, a DelayLine)
+//    registers a batch and appends to a struct-of-arrays queue (arrival
+//    time / seq / arena handle) kept sorted by (time, seq) — appends are
+//    time-monotonic for fixed-delay producers, and an out-of-order append is
+//    inserted in place. pop_next() merges the earliest batch front against
+//    the heap; when it wins, dispatch_batch() drains every delivery up to the
+//    next non-batch event and hands same-time runs to the sink as a single
+//    deliver_batch() call.
 //
 // Cancelled events are lazily dropped when popped or cascaded; if too many
-// accumulate (long-lived retransmission timers that ACKs keep disarming),
-// the heap — or the wheel — is compacted in place so neither grows
-// unboundedly.
-//
-// Event engine v3 adds per-sink delivery batches (see DESIGN.md "Event
-// engine v3"): a component whose arrivals are time-monotonic — a Link's
-// propagation pipe, a DelayLine — registers a batch and appends its
-// in-flight packets to a struct-of-arrays queue (parallel arrival-time /
-// seq / arena-handle vectors) instead of pushing one scheduler entry per
-// packet. The queue *is* a sorted run, so the scheduler merges its front
-// against the heap/ready/wheel fronts in pop_next() and, when the batch is
-// globally earliest, synthesizes one kDeliverBatch dispatch that drains
-// every delivery up to the next non-batch event — same-time runs go to the
-// sink as a single deliver_batch() call. Every delivery keeps its unique
-// (time, seq) key, so the firing order is bit-identical to one-entry-per-
-// packet scheduling; only the bookkeeping is amortized.
+// accumulate (retransmission timers that ACKs keep disarming), the heap — or
+// the wheel — is compacted in place so neither grows unboundedly.
 #pragma once
 
 #include <cstdint>
@@ -77,8 +67,8 @@ class Scheduler {
   /// Current simulated time. Starts at zero.
   [[nodiscard]] Time now() const { return now_; }
 
-  /// The packet arena used by typed deliver events (and by Link for the
-  /// packet currently serializing).
+  /// The packet arena holding in-flight batch deliveries (and Link's packet
+  /// currently serializing).
   [[nodiscard]] PacketPool& packets() { return pool_; }
   [[nodiscard]] const PacketPool& packets() const { return pool_; }
 
@@ -133,32 +123,13 @@ class Scheduler {
     schedule_member_fire_at<MemFn>(now_ + delay, obj);
   }
 
-  /// Fire-and-forget packet delivery: copies `pkt` into the arena and hands
-  /// `sink` a reference to that copy at time `at`. Not cancellable (nothing
-  /// in the simulator cancels an in-flight packet), which is what lets it
-  /// skip the cancellation slab entirely.
-  void schedule_deliver_at(Time at, PacketSink& sink, const Packet& pkt) {
-    schedule_deliver_handle_at(at, sink, pool_.acquire(pkt));
-  }
-  void schedule_deliver_after(Time delay, PacketSink& sink, const Packet& pkt) {
-    schedule_deliver_at(now_ + delay, sink, pkt);
-  }
-
-  /// As above but transfers ownership of an already-acquired handle — the
-  /// scheduler releases it after delivery. Used by Link to move the packet
-  /// it serialized straight into propagation without another copy.
-  void schedule_deliver_handle_at(Time at, PacketSink& sink, PacketPool::Handle h);
-  void schedule_deliver_handle_after(Time delay, PacketSink& sink, PacketPool::Handle h) {
-    schedule_deliver_handle_at(now_ + delay, sink, h);
-  }
-
-  // ---- delivery batches (event engine v3) ----
+  // ---- delivery batches ----
 
   /// Identifies one per-sink in-flight batch (see the header comment).
   using BatchId = std::uint32_t;
 
   /// Registers a struct-of-arrays in-flight batch delivering into `sink`.
-  /// One per monotonic producer (a Link's propagation pipe, a DelayLine);
+  /// One per packet producer (a Link's propagation pipe, a DelayLine);
   /// batches are never unregistered — components live for the whole run.
   [[nodiscard]] BatchId register_delivery_batch(PacketSink& sink);
 
@@ -167,18 +138,22 @@ class Scheduler {
   /// dst-read semantics.
   void rebind_delivery_batch(BatchId id, PacketSink& sink);
 
-  /// Fire-and-forget packet delivery through a batch: like
-  /// schedule_deliver_at, but the in-flight record lives in the batch's
-  /// parallel arrays instead of a heap/wheel entry. Appends must be
-  /// time-monotonic per batch (true for any fixed-delay pipe fed by a
-  /// monotonic clock); an out-of-order append falls back to a regular
-  /// per-event entry bound to the batch's current sink.
+  /// Fire-and-forget packet delivery: copies `pkt` into the arena and hands
+  /// the batch's sink (read at fire time) a reference to that copy at `at`.
+  /// Not cancellable — nothing in the simulator cancels an in-flight packet.
+  /// Time-monotonic appends (any fixed-delay pipe fed by a monotonic clock)
+  /// are O(1); an out-of-order append is inserted in place after every
+  /// queued delivery at or before `at`.
   void schedule_deliver_batch_at(Time at, BatchId id, const Packet& pkt) {
     schedule_deliver_batch_handle_at(at, id, pool_.acquire(pkt));
   }
   void schedule_deliver_batch_after(Time delay, BatchId id, const Packet& pkt) {
     schedule_deliver_batch_at(now_ + delay, id, pkt);
   }
+
+  /// As above but transfers ownership of an already-acquired handle — the
+  /// scheduler releases it after delivery. Used by Link to move the packet
+  /// it serialized straight into propagation without another copy.
   void schedule_deliver_batch_handle_at(Time at, BatchId id, PacketPool::Handle h);
   void schedule_deliver_batch_handle_after(Time delay, BatchId id, PacketPool::Handle h) {
     schedule_deliver_batch_handle_at(now_ + delay, id, h);
@@ -206,22 +181,20 @@ class Scheduler {
   [[nodiscard]] std::uint64_t events_executed() const { return executed_; }
   /// Number of live (non-cancelled) pending events.
   [[nodiscard]] std::size_t pending() const { return live_; }
-  /// Heap records including not-yet-collected cancelled ones and the
-  /// unconsumed part of the spilled ready batch (tests use this to verify
-  /// compaction keeps near-term storage bounded under cancel churn).
-  [[nodiscard]] std::size_t heap_entries() const {
-    return heap_.size() + (ready_.size() - ready_pos_);
-  }
+  /// Heap records including not-yet-collected cancelled ones (tests use
+  /// this to verify compaction keeps near-term storage bounded under cancel
+  /// churn).
+  [[nodiscard]] std::size_t heap_entries() const { return heap_.size(); }
   /// Wheel-resident records, including not-yet-swept cancelled ones (tests
   /// use this to verify cancel churn stays bounded without touching the
   /// heap).
   [[nodiscard]] std::size_t wheel_entries() const { return wheel_size_; }
 
  private:
-  enum class Kind : std::uint8_t { kClosure, kCall, kDeliver, kDeliverBatch };
+  enum class Kind : std::uint8_t { kClosure, kCall, kDeliverBatch };
 
   /// Sentinel slot for fire-and-forget entries that carry no cancellation
-  /// state (kDeliver). Such entries are always live.
+  /// state (schedule_fire_at). Such entries are always live.
   static constexpr std::uint32_t kNoSlot = 0xffff'ffffu;
 
   /// A slab slot holding one cancellable event's identity (and, for kClosure
@@ -229,8 +202,8 @@ class Scheduler {
   /// released; an EventId or queue entry carrying an older generation is
   /// stale. (Wrap after 2^32 releases of a single slot is beyond any
   /// simulation we run.) `loc` remembers where the entry currently sits —
-  /// kLocHeap, kLocReady, or (level << 8 | bucket) — so cancel() knows which
-  /// structure accumulated the stale record.
+  /// kLocHeap or (level << 8 | bucket) — so cancel() knows which structure
+  /// accumulated the stale record.
   struct Slot {
     std::function<void()> fn;
     std::uint32_t gen{1};
@@ -238,12 +211,11 @@ class Scheduler {
     bool armed{false};
   };
   static constexpr std::uint16_t kLocHeap = 0xffff;
-  static constexpr std::uint16_t kLocReady = 0xfffe;
 
   struct Entry {
     Time at;
     std::uint64_t seq;   // global schedule order: FIFO tie-break at equal times
-    std::uint32_t slot;  // kNoSlot for fire-and-forget deliveries
+    std::uint32_t slot;  // kNoSlot for fire-and-forget calls
     std::uint32_t gen;
     union {
       struct {
@@ -251,10 +223,6 @@ class Scheduler {
         void* ctx;
         std::uint64_t arg;
       } call;  // kCall
-      struct {
-        PacketSink* sink;
-        PacketPool::Handle handle;
-      } deliver;  // kDeliver
       struct {
         std::uint32_t id;
       } batch;  // kDeliverBatch — synthesized by pop_next, never stored
@@ -272,16 +240,6 @@ class Scheduler {
     }
   };
   static constexpr Later later{};
-  // Ascending (time, seq): the ready batch's sort order and the merge order
-  // between the batch front and the heap front. seq is unique, so this is a
-  // strict total order identical to the firing order.
-  struct Earlier {
-    bool operator()(const Entry& a, const Entry& b) const {
-      if (a.at != b.at) return a.at < b.at;
-      return a.seq < b.seq;
-    }
-  };
-  static constexpr Earlier earlier{};
 
   // ---- timer wheel geometry ----
   // Ticks are 2^20 ns (~1.05 ms): RTTs, RTOs and pacing gaps all span many
@@ -322,7 +280,7 @@ class Scheduler {
   /// skipping the std::function round-trip matters at RTO-churn rates.
   void release_slot_discard(std::uint32_t slot);
 
-  /// Routes an entry to the wheel (cancellable, far enough out) or the heap.
+  /// Routes an entry to the wheel (due two or more ticks out) or the heap.
   void place(const Entry& e);
   /// Pushes an entry onto the heap and records its location.
   void push_heap_entry(const Entry& e);
@@ -334,13 +292,13 @@ class Scheduler {
   [[nodiscard]] std::uint64_t next_wheel_tick(std::uint64_t limit) const;
   /// Spills/cascades every bucket due exactly at tick t (cursor == t).
   void process_tick(std::uint64_t t);
-  /// Re-places a level>=1 bucket's entries one level down (or into the heap).
+  /// Re-places a bucket's entries one level down (level 0: into the heap).
   void cascade(int level, std::uint64_t bucket);
   /// Drops cancelled entries from every bucket (wheel analogue of compact()).
   void sweep_wheel();
 
-  /// Pops the globally-earliest live event (ready batch, heap and wheel all
-  /// considered) into `out`. Returns false if there is none at or before
+  /// Pops the globally-earliest live event (heap, wheel and delivery batches
+  /// all considered) into `out`. Returns false if there is none at or before
   /// `limit`.
   bool pop_next(Entry& out, Time limit);
   /// Pops the front heap entry (the earliest).
@@ -352,12 +310,12 @@ class Scheduler {
   /// end time, or Time::never() from run_one).
   void dispatch(const Entry& e, Time limit);
 
-  // ---- delivery-batch internals (event engine v3) ----
+  // ---- delivery-batch internals ----
 
-  /// One per-sink struct-of-arrays in-flight queue. The parallel vectors are
-  /// a sorted-by-(at, seq) run: appends are time-monotonic (enforced at
-  /// schedule time; violators fall back to per-event entries) and seq is
-  /// globally increasing, so [head, size) is always in firing order.
+  /// One per-sink struct-of-arrays in-flight queue. [head, size) is a
+  /// sorted-by-(at, seq) run, i.e. in firing order: seq is globally
+  /// increasing, so a monotonic append keeps the run sorted and an
+  /// out-of-order one is inserted after every queued time <= its own.
   struct DeliveryBatch {
     PacketSink* sink{nullptr};
     std::vector<Time> at;
@@ -367,10 +325,9 @@ class Scheduler {
   };
   static constexpr std::uint32_t kNoBatch = 0xffff'ffffu;
 
-  /// Recomputes batch_min_ (the id of the batch with the earliest front, by
-  /// (at, seq); kNoBatch when all are empty). O(#batches); called only when
-  /// the current minimum's front changes, not per append.
-  void recompute_batch_min();
+  /// The batch with the earliest front by (at, seq); kNoBatch when all are
+  /// empty. O(#batches) — components register a handful.
+  [[nodiscard]] std::uint32_t earliest_batch() const;
   /// Drains batch `id` up to (exclusive) the earliest non-batch event or
   /// `limit`, delivering same-time runs through one deliver_batch() call.
   /// With single_step set, delivers exactly the front run's first element
@@ -396,31 +353,11 @@ class Scheduler {
   std::uint64_t occupied_[kLevels]{};
   std::vector<Entry> wheel_[kLevels][kSlotsPerLevel];
   std::vector<Entry> cascade_scratch_;
-  // Memoized next_wheel_tick(∞): the earliest tick at which the wheel does
-  // any work (level-0 spill or cascade). pop_next and the batch drain's
-  // bound recompute consult the wheel once per event, so the occupied-bitmap
-  // scan is cached here — inserts tighten it (min), processing a tick
-  // invalidates it. Removals may leave it conservatively early, which costs
-  // at most one empty process_tick step and is never wrong.
-  mutable std::uint64_t wheel_next_{0};
-  mutable bool wheel_next_valid_{false};
-
-  // The ready batch: a spilled level-0 bucket, sorted ascending by
-  // (time, seq) and consumed from the front in O(1) — the calendar-queue
-  // move that keeps a 10k-packet in-flight window out of the binary heap.
-  // Entries scheduled after the spill (same-tick arrivals) land in the heap
-  // and are merged in by comparing actual (time, seq) keys, so the firing
-  // order is exactly the heap-only order.
-  std::vector<Entry> ready_;
-  std::size_t ready_pos_{0};
-  std::size_t ready_stale_{0};  // cancelled entries still in the batch
 
   // Delivery batches. batch_live_ counts queued batch deliveries (they are
-  // part of live_ too); batch_min_ caches which batch currently owns the
-  // earliest front so pop_next pays O(1) on the no-batch/quiet path.
+  // part of live_ too) so pop_next skips the batch scan when none are queued.
   std::vector<DeliveryBatch> batches_;
   std::size_t batch_live_{0};
-  std::uint32_t batch_min_{kNoBatch};
   // Scratch for dispatch_batch: the run's handles and packet pointers are
   // copied out before delivery so a sink that appends (and reallocates the
   // SoA vectors) mid-callback cannot invalidate what we are iterating.

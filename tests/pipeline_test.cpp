@@ -6,9 +6,9 @@
 #include <mutex>
 #include <sstream>
 
-#include "analysis/passive_study.hpp"
 #include "mlab/synthetic.hpp"
 #include "pipeline/pipeline.hpp"
+#include "pipeline/stage.hpp"
 #include "store/convert.hpp"
 #include "telemetry/run_report.hpp"
 
@@ -40,23 +40,34 @@ std::string fingerprint(const PipelineResult& r) {
   return report.to_jsonl();
 }
 
+// Sharding must not change the study: 256-flow shards agree with the
+// unsharded serial study — the whole dataset drained through one
+// AnalyzeStage.
 TEST(Pipeline, MatchesLegacyPassiveStudy) {
   const auto dataset = make_dataset(2000);
-  const auto legacy = analysis::run_passive_study(dataset);
-
   MemorySource src{dataset};
+
+  StageOptions opts;
+  opts.keep_findings = true;
+  opts.enable_telemetry = false;
+  AnalyzeStage stage{std::move(opts)};
+  RangePull pull{src, 0, dataset.size(), 0};
+  drain(pull, stage);
+  const AnalysisTallies& legacy = stage.tallies();
+
   PipelineConfig cfg;
   cfg.jobs = 1;
   cfg.shard_flows = 256;
   cfg.keep_findings = true;
   const auto res = run_pipeline(src, cfg);
 
-  EXPECT_EQ(res.verdict_map(), legacy.verdict_counts);
-  EXPECT_EQ(res.true_positives, legacy.true_positives);
-  EXPECT_EQ(res.false_positives, legacy.false_positives);
-  EXPECT_EQ(res.false_negatives, legacy.false_negatives);
-  EXPECT_EQ(res.true_negatives, legacy.true_negatives);
-  EXPECT_DOUBLE_EQ(res.filtered_fraction(), legacy.filtered_fraction());
+  EXPECT_EQ(res.verdicts, legacy.verdicts);
+  EXPECT_EQ(res.confusion, legacy.confusion);
+  EXPECT_EQ(res.true_positives, legacy.tp);
+  EXPECT_EQ(res.false_positives, legacy.fp);
+  EXPECT_EQ(res.false_negatives, legacy.fn);
+  EXPECT_EQ(res.true_negatives, legacy.tn);
+  EXPECT_EQ(res.changepoints_total, legacy.changepoints);
   ASSERT_EQ(res.findings.size(), legacy.findings.size());
   for (std::size_t i = 0; i < res.findings.size(); ++i) {
     EXPECT_EQ(res.findings[i].id, legacy.findings[i].id);

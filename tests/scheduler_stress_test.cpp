@@ -1,9 +1,9 @@
-// Stress and golden-order tests for the event engine v2 (typed records,
-// timer wheel, ready batch, packet arena).
+// Stress and golden-order tests for the event engine (typed heap entries,
+// timer wheel, per-sink delivery batches, packet arena).
 //
 // The engine's contract is exactly the pre-wheel scheduler's contract:
 // events fire in ascending (time, schedule-order) regardless of which
-// internal structure (heap, wheel bucket, ready batch) they pass through.
+// internal structure (heap, wheel bucket, delivery batch) they pass through.
 // The golden test below checks a large adversarial workload against an
 // independent reference model of that contract — NOT against the engine's
 // own bookkeeping — so any internal reordering (a bucket spilled late, a
@@ -53,6 +53,8 @@ struct LabelSink : sim::PacketSink {
 /// straddling all wheel levels plus sub-tick and same-tick times, equal-time
 /// ties, and a third of the cancellable timers cancelled mid-run — must fire
 /// in exactly the (time, schedule-order) sequence of an independent model.
+/// The deliveries all go through one batch in random time order, so nearly
+/// every append is an out-of-order insert.
 TEST(SchedulerStress, GoldenFiringOrderMatchesReferenceModel) {
   constexpr int kEvents = 20'000;
   Scheduler sched;
@@ -64,6 +66,7 @@ TEST(SchedulerStress, GoldenFiringOrderMatchesReferenceModel) {
 
   LabelSink sink;
   sink.log = &fired;
+  const Scheduler::BatchId batch = sched.register_delivery_batch(sink);
   struct Ctx {
     std::vector<int>* log;
     int label;
@@ -113,10 +116,10 @@ TEST(SchedulerStress, GoldenFiringOrderMatchesReferenceModel) {
             },
             &ctxs[i]);
         break;
-      default: {  // packet delivery through the arena
+      default: {  // packet delivery through the batch
         sim::Packet p;
         p.flow = static_cast<sim::FlowId>(i);
-        sched.schedule_deliver_at(at, sink, p);
+        sched.schedule_deliver_batch_at(at, batch, p);
         break;
       }
     }
@@ -248,13 +251,14 @@ TEST(SchedulerStress, CascadeAcrossLevelsFiresAtExactTimes) {
   }
 }
 
-/// All four event kinds scheduled at one instant fire in schedule order —
+/// Every event kind scheduled at one instant fires in schedule order —
 /// the FIFO tie-break holds across kinds, not just within one.
 TEST(SchedulerStress, FifoTieBreakAcrossEventKinds) {
   Scheduler sched;
   std::vector<int> fired;
   LabelSink sink;
   sink.log = &fired;
+  const Scheduler::BatchId batch = sched.register_delivery_batch(sink);
   struct Ctx {
     std::vector<int>* log;
     int label;
@@ -271,7 +275,7 @@ TEST(SchedulerStress, FifoTieBreakAcrossEventKinds) {
       &c1);                             // typed call
   sim::Packet p;
   p.flow = 2;
-  sched.schedule_deliver_at(at, sink, p);  // arena delivery
+  sched.schedule_deliver_batch_at(at, batch, p);  // batch delivery
   sched.schedule_fire_at(
       at,
       [](void* c, std::uint64_t) {
@@ -283,37 +287,14 @@ TEST(SchedulerStress, FifoTieBreakAcrossEventKinds) {
   EXPECT_EQ(fired, (std::vector<int>{0, 1, 2, 3}));
 }
 
-/// The packet arena recycles slots: steady-state relay traffic must not
-/// grow capacity beyond the high-water mark of simultaneous in-flight
-/// packets.
-TEST(SchedulerStress, PacketPoolRecyclesSlots) {
-  Scheduler sched;
-  struct Repeater : sim::PacketSink {
-    Scheduler* sched;
-    int hops{0};
-    void deliver(const sim::Packet& p) override {
-      if (++hops < 50'000) sched->schedule_deliver_after(Time::us(7), *this, p);
-    }
-  } relay;
-  relay.sched = &sched;
-  sim::Packet seed;
-  seed.flow = 9;
-  // Two packets ping-ponging forever: capacity must stay ~2, not grow.
-  sched.schedule_deliver_at(Time::zero(), relay, seed);
-  sched.schedule_deliver_at(Time::zero(), relay, seed);
-  sched.run_until(Time::sec(1));
-  EXPECT_EQ(sched.packets().live(), 0u);
-  EXPECT_LE(sched.packets().capacity(), 4u);
-}
-
-/// Golden firing order with kDeliverBatch in the mix. Batch deliveries
-/// live in per-sink SoA queues merged into the schedule as synthesized
-/// fronts (never stored as entries), so the test that matters is exactly
-/// the v2 golden test's: an adversarial interleaving of batch deliveries
-/// with every other kind — equal-time ties across kinds, heavy same-tick
-/// runs within one batch, and a third of the cancellable timers cancelled
-/// mid-run — must fire in the (time, schedule-order) sequence of an
-/// independent model. Runs the workload twice: once through run_until
+/// Golden firing order with several delivery batches in the mix. Batch
+/// deliveries live in per-sink SoA queues merged into the schedule as
+/// synthesized fronts (never stored as entries), so the test that matters
+/// is exactly the golden test's above: an adversarial interleaving of three
+/// batches with every other kind — equal-time ties across kinds, heavy
+/// same-tick runs within one batch, and a third of the cancellable timers
+/// cancelled mid-run — must fire in the (time, schedule-order) sequence of
+/// an independent model. Runs the workload twice: once through run_until
 /// (bulk drain, fused heap path) and once event-by-event through run_one
 /// (the single_step fallback), which must agree with the model and with
 /// each other.
@@ -331,6 +312,7 @@ TEST(SchedulerStress, GoldenOrderWithBatchDeliveriesMatchesReferenceModel) {
     sink_plain.log = &fired;
     sink_a.log = &fired;
     sink_b.log = &fired;
+    const Scheduler::BatchId batch_plain = sched.register_delivery_batch(sink_plain);
     const Scheduler::BatchId batch_a = sched.register_delivery_batch(sink_a);
     const Scheduler::BatchId batch_b = sched.register_delivery_batch(sink_b);
 
@@ -369,10 +351,10 @@ TEST(SchedulerStress, GoldenOrderWithBatchDeliveriesMatchesReferenceModel) {
           cancellable.emplace_back(id, model.size());
           break;
         }
-        case 2: {  // plain arena delivery (kDeliver)
+        case 2: {  // SoA batch delivery, plain sink
           sim::Packet p;
           p.flow = static_cast<sim::FlowId>(i);
-          sched.schedule_deliver_at(at, sink_plain, p);
+          sched.schedule_deliver_batch_at(at, batch_plain, p);
           break;
         }
         case 3: {  // SoA batch delivery, sink A
@@ -463,6 +445,37 @@ TEST(SchedulerStress, BatchDrainRecyclesArenaSlotsWithinTick) {
   EXPECT_EQ(sched.packets().live(), 0u);
   EXPECT_EQ(sched.batch_in_flight(relay.batch), 0u);
   EXPECT_LE(sched.packets().capacity(), 4u);
+}
+
+/// Rebinding a batch redirects every delivery still in flight, including
+/// ones appended out of time order: all of them reach the new sink, in
+/// (time, schedule-order), and none reaches the old one.
+TEST(SchedulerStress, RebindRedirectsOutOfOrderDeliveries) {
+  Scheduler sched;
+  std::vector<int> old_log;
+  std::vector<int> new_log;
+  LabelSink old_sink;
+  old_sink.log = &old_log;
+  LabelSink new_sink;
+  new_sink.log = &new_log;
+  const Scheduler::BatchId batch = sched.register_delivery_batch(old_sink);
+
+  // (delivery time in us, label); labels are the schedule order.
+  const std::pair<int, int> sends[] = {{50, 0}, {30, 1}, {50, 2}, {10, 3},
+                                       {40, 4}, {30, 5}, {60, 6}, {10, 7}};
+  for (const auto& [us, label] : sends) {
+    sim::Packet p;
+    p.flow = static_cast<sim::FlowId>(label);
+    sched.schedule_deliver_batch_at(Time::us(us), batch, p);
+  }
+  EXPECT_EQ(sched.batch_in_flight(batch), std::size(sends));
+  sched.rebind_delivery_batch(batch, new_sink);
+  sched.run_until(Time::ms(1));
+
+  EXPECT_TRUE(old_log.empty());
+  EXPECT_EQ(new_log, (std::vector<int>{3, 7, 1, 5, 4, 0, 2, 6}));
+  EXPECT_EQ(sched.pending(), 0u);
+  EXPECT_EQ(sched.packets().live(), 0u);
 }
 
 }  // namespace

@@ -333,6 +333,24 @@ TEST(DelayLine, AddsFixedDelay) {
   EXPECT_EQ(sink.arrival_times[0], Time::ms(10));
 }
 
+TEST(DelayLine, SetDstRedirectsPacketsInFlight) {
+  Scheduler sched;
+  CollectingSink first{sched};
+  CollectingSink second{sched};
+  DelayLine line{sched, Time::ms(7), first};
+  sched.schedule_at(Time::ms(1), [&] { line.deliver(make_data(1, 100)); });
+  sched.schedule_at(Time::ms(2), [&] { line.deliver(make_data(2, 100)); });
+  // Both packets are on the wire when the destination changes.
+  sched.schedule_at(Time::ms(5), [&] { line.set_dst(second); });
+  sched.run_until(Time::sec(1.0));
+  EXPECT_TRUE(first.packets.empty());
+  ASSERT_EQ(second.packets.size(), 2u);
+  EXPECT_EQ(second.packets[0].flow, 1u);
+  EXPECT_EQ(second.packets[1].flow, 2u);
+  EXPECT_EQ(second.arrival_times[0], Time::ms(8));
+  EXPECT_EQ(second.arrival_times[1], Time::ms(9));
+}
+
 TEST(Demux, RoutesByFlowId) {
   Scheduler sched;
   CollectingSink a{sched};

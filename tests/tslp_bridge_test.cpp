@@ -4,13 +4,13 @@
 #include <memory>
 
 #include "analysis/ndt_bridge.hpp"
-#include "analysis/passive_study.hpp"
 #include "analysis/tslp.hpp"
 #include "app/bulk.hpp"
 #include "app/rate_limited.hpp"
 #include "app/stop_at.hpp"
 #include "cca/cubic.hpp"
 #include "core/dumbbell.hpp"
+#include "pipeline/classify.hpp"
 #include "telemetry/tcp_info.hpp"
 
 namespace ccc {
@@ -83,8 +83,8 @@ TEST(NdtBridge, AppLimitedSimFlowIsFilteredByPipeline) {
   net.run_until(Time::sec(10.0));
   const auto rec = analysis::make_ndt_record(mon, 1, mlab::FlowArchetype::kAppLimitedConstant);
   EXPECT_GT(rec.app_limited_sec, 3.0);
-  const auto f = analysis::classify_flow(rec, analysis::PassiveConfig{});
-  EXPECT_EQ(f.verdict, analysis::Verdict::kFilteredAppLimited);
+  const auto f = pipeline::classify_flow(rec, pipeline::ClassifyConfig{});
+  EXPECT_EQ(f.verdict, pipeline::Verdict::kFilteredAppLimited);
 }
 
 TEST(NdtBridge, RwndLimitedSimFlowIsFilteredByPipeline) {
@@ -95,8 +95,8 @@ TEST(NdtBridge, RwndLimitedSimFlowIsFilteredByPipeline) {
                              Time::sec(10.0)};
   net.run_until(Time::sec(10.0));
   const auto rec = analysis::make_ndt_record(mon, 2, mlab::FlowArchetype::kRwndLimited);
-  const auto f = analysis::classify_flow(rec, analysis::PassiveConfig{});
-  EXPECT_EQ(f.verdict, analysis::Verdict::kFilteredRwndLimited);
+  const auto f = pipeline::classify_flow(rec, pipeline::ClassifyConfig{});
+  EXPECT_EQ(f.verdict, pipeline::Verdict::kFilteredRwndLimited);
 }
 
 TEST(NdtBridge, ContendedSimFlowIsFlaggedByPipeline) {
@@ -115,10 +115,10 @@ TEST(NdtBridge, ContendedSimFlowIsFlaggedByPipeline) {
                2, Time::sec(10.0));
   net.run_until(Time::sec(30.0));
   const auto rec = analysis::make_ndt_record(mon, 3, mlab::FlowArchetype::kBulkContended);
-  analysis::PassiveConfig pcfg;
+  pipeline::ClassifyConfig pcfg;
   pcfg.min_duration_sec = 2.0;
-  const auto f = analysis::classify_flow(rec, pcfg);
-  EXPECT_EQ(f.verdict, analysis::Verdict::kContentionSuspect);
+  const auto f = pipeline::classify_flow(rec, pcfg);
+  EXPECT_EQ(f.verdict, pipeline::Verdict::kContentionSuspect);
   ASSERT_FALSE(f.shift_times_sec.empty());
   // TCP convergence is gradual, so the detected persistent level boundary
   // may land anywhere in the transition; it must at least postdate the
@@ -134,11 +134,11 @@ TEST(NdtBridge, CleanSoloSimFlowIsNotFlagged) {
                              Time::sec(16.0)};
   net.run_until(Time::sec(16.0));
   const auto rec = analysis::make_ndt_record(mon, 4, mlab::FlowArchetype::kBulkClean);
-  analysis::PassiveConfig pcfg;
+  pipeline::ClassifyConfig pcfg;
   pcfg.min_duration_sec = 2.0;
-  const auto f = analysis::classify_flow(rec, pcfg);
-  EXPECT_EQ(f.verdict, analysis::Verdict::kNoLevelShift)
-      << analysis::to_string(f.verdict);
+  const auto f = pipeline::classify_flow(rec, pcfg);
+  EXPECT_EQ(f.verdict, pipeline::Verdict::kNoLevelShift)
+      << pipeline::to_string(f.verdict);
 }
 
 TEST(NdtBridge, RecordCarriesPlausibleMetadata) {
