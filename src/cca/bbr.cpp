@@ -24,9 +24,7 @@ void Bbr::enter_state(State next, Time now) {
 }
 
 Rate Bbr::btlbw() const {
-  Rate best = Rate::zero();
-  for (const auto& [round, r] : bw_samples_) best = std::max(best, r);
-  return best;
+  return bw_samples_.empty() ? Rate::zero() : bw_samples_.front().second;
 }
 
 ByteCount Bbr::bdp_with_gain(double gain) const {
@@ -44,8 +42,8 @@ ByteCount Bbr::cwnd_bytes() const {
 Rate Bbr::pacing_rate() const {
   const Rate bw = btlbw();
   if (bw.is_zero()) {
-    // No model yet: pace the initial window over a nominal 1 ms to avoid a
-    // burst, i.e. effectively unpaced early startup.
+    // No model yet: zero means unpaced, so early startup sends the initial
+    // window as cwnd allows.
     return Rate::zero();
   }
   return bw * pacing_gain_;
@@ -76,7 +74,13 @@ void Bbr::update_model(const AckEvent& ev) {
   // Bandwidth model: windowed max over the last kBwFilterRounds rounds.
   // App-limited samples only count if they beat the current estimate
   // (they prove at least that much capacity exists).
+  // The filter is a monotone deque (rates strictly decreasing front to back,
+  // rounds non-decreasing): a sample no larger than a newer one can never
+  // again be the max, since the newer one outlives it.
   if (!ev.delivery_rate.is_zero() && (!ev.app_limited || ev.delivery_rate > btlbw())) {
+    while (!bw_samples_.empty() && bw_samples_.back().second <= ev.delivery_rate) {
+      bw_samples_.pop_back();
+    }
     bw_samples_.emplace_back(round_, ev.delivery_rate);
   }
   while (!bw_samples_.empty() && bw_samples_.front().first + kBwFilterRounds < round_) {

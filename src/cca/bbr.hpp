@@ -58,7 +58,8 @@ class Bbr : public CongestionControl {
   ByteCount mss_;
   State state_{State::kStartup};
 
-  // Bottleneck-bandwidth windowed max filter: (round index, sample).
+  // Bottleneck-bandwidth windowed max filter: (round index, sample), kept
+  // monotone so the front is the max over the last kBwFilterRounds rounds.
   std::deque<std::pair<std::uint64_t, Rate>> bw_samples_;
   std::uint64_t round_{0};
   Time round_started_{Time::zero()};

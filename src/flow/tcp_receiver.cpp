@@ -28,17 +28,21 @@ void TcpReceiver::deliver(const sim::Packet& pkt) {
     // Pull any buffered ranges that are now contiguous.
     for (auto it = ooo_.begin(); it != ooo_.end() && it->first <= rcv_nxt_;) {
       rcv_nxt_ = std::max(rcv_nxt_, it->second);
+      ooo_bytes_ -= it->second - it->first;
       it = ooo_.erase(it);
     }
   } else {
     // Out of order: buffer [start, end), merging overlaps.
-    auto [it, inserted] = ooo_.try_emplace(start, end);
-    if (!inserted) it->second = std::max(it->second, end);
+    auto [it, inserted] = ooo_.try_emplace(start, start);
+    const std::int64_t old_end = it->second;
+    it->second = std::max(it->second, end);
     auto next = std::next(it);
     while (next != ooo_.end() && next->first <= it->second) {
       it->second = std::max(it->second, next->second);
+      ooo_bytes_ -= next->second - next->first;
       next = ooo_.erase(next);
     }
+    ooo_bytes_ += it->second - old_end;
   }
 
   // Delayed-ACK policy applies only to clean in-order arrivals; anything
@@ -76,10 +80,6 @@ void TcpReceiver::emit_ack(const sim::Packet& data) {
     delayed_armed_ = false;
   }
 
-  // Coverage: every distinct byte that has arrived so far.
-  std::int64_t coverage = rcv_nxt_;
-  for (const auto& [start, end] : ooo_) coverage += end - start;
-
   sim::Packet ack;
   ack.flow = cfg_.flow_id;
   ack.user = cfg_.user;
@@ -88,7 +88,7 @@ void TcpReceiver::emit_ack(const sim::Packet& data) {
   ack.ack_seq = rcv_nxt_;
   ack.echo_sent_at = data.sent_at;
   ack.delivered_bytes = rcv_nxt_;
-  ack.received_total = coverage;
+  ack.received_total = rcv_nxt_ + ooo_bytes_;
   ack.receiver_window = cfg_.advertised_window;
   ack.ece = data.ecn_marked;
   ack.sent_at = sched_.now();

@@ -52,6 +52,11 @@ class TcpReceiver : public sim::PacketSink {
 
   std::int64_t rcv_nxt_{0};
   std::map<std::int64_t, std::int64_t> ooo_;  ///< out-of-order ranges: start -> end
+  /// Sum of (end - start) over ooo_, kept in step with every insert, grow,
+  /// merge and erase. rcv_nxt_ + ooo_bytes_ is the ACK's received_total.
+  /// Overlapping entries (a duplicate landing strictly inside a range, which
+  /// try_emplace does not merge backwards) count their overlap twice.
+  std::int64_t ooo_bytes_{0};
   std::uint64_t packets_received_{0};
   std::uint64_t duplicate_packets_{0};
   std::uint64_t acks_sent_{0};

@@ -131,7 +131,6 @@ void TcpSender::transmit(Segment& seg, bool is_retx) {
   last_transmit_ = now;
   seg.sent_at = now;
   if (is_retx) {
-    ++seg.transmissions;
     seg.delivered_at_send = snd_una_;
     ++stats_.retransmissions;
     stats_.bytes_retransmitted += seg.len;
@@ -163,22 +162,41 @@ void TcpSender::retransmit_head() {
   transmit(segments_.front(), /*is_retx=*/true);
 }
 
+std::uint64_t TcpSender::next_unsacked(std::uint64_t ord) {
+  std::uint64_t found = ord;
+  while (found < seg_end() && seg_at(found).sacked) found += seg_at(found).skip;
+  while (ord < found) {
+    Segment& seg = seg_at(ord);
+    const std::uint64_t next = ord + seg.skip;
+    seg.skip = static_cast<std::uint32_t>(found - ord);
+    ord = next;
+  }
+  return found;
+}
+
 ByteCount TcpSender::apply_sack(const sim::Packet& ack) {
   if (ack.n_sack == 0) return 0;
   ByteCount newly = 0;
-  for (auto& seg : segments_) {
-    if (seg.sacked) continue;
-    for (int i = 0; i < ack.n_sack; ++i) {
-      if (seg.seq >= ack.sack[i].start && seg.seq + seg.len <= ack.sack[i].end) {
-        seg.sacked = true;
-        newly += seg.len;
-        high_sacked_ = std::max(high_sacked_, seg.seq + seg.len);
-        if (seg.lost) {
-          // It arrived after all (or its repair did): not lost.
-          seg.lost = false;
-          if (!seg.retx_queued) lost_bytes_ -= seg.len;
-        }
-        break;
+  for (int i = 0; i < ack.n_sack; ++i) {
+    const auto& block = ack.sack[i];
+    // Segments ascend in both start and end, so the ones a block covers are
+    // the run from the first segment starting at or after block.start up to
+    // the last one ending by block.end.
+    const auto first = std::partition_point(
+        segments_.begin(), segments_.end(),
+        [&](const Segment& seg) { return seg.seq < block.start; });
+    const auto first_ord = seg_base_ + static_cast<std::uint64_t>(first - segments_.begin());
+    for (auto ord = next_unsacked(first_ord); ord < seg_end(); ord = next_unsacked(ord + 1)) {
+      Segment& seg = seg_at(ord);
+      if (seg.seq + seg.len > block.end) break;
+      seg.sacked = true;
+      seg.skip = 1;
+      newly += seg.len;
+      high_sacked_ = std::max(high_sacked_, seg.seq + seg.len);
+      if (seg.lost) {
+        // It arrived after all (or its repair did): not lost.
+        seg.lost = false;
+        if (!seg.retx_queued) lost_bytes_ -= seg.len;
       }
     }
   }
@@ -188,7 +206,8 @@ ByteCount TcpSender::apply_sack(const sim::Packet& ack) {
   // (dupthresh) segments' worth of SACKed data above it is lost.
   const std::int64_t lost_edge =
       high_sacked_ - static_cast<std::int64_t>(cfg_.dupack_threshold - 1) * cfg_.mss;
-  for (auto& seg : segments_) {
+  for (lost_scan_ = std::max(lost_scan_, seg_base_); lost_scan_ < seg_end(); ++lost_scan_) {
+    Segment& seg = seg_at(lost_scan_);
     if (seg.seq + seg.len > lost_edge) break;
     if (seg.sacked || seg.lost) continue;
     seg.lost = true;
@@ -205,10 +224,15 @@ ByteCount TcpSender::apply_sack(const sim::Packet& ack) {
 void TcpSender::maybe_retransmit_holes() {
   if (!in_recovery_) return;
   const ByteCount wnd = send_window();
-  for (auto& seg : segments_) {
+  repair_scan_ = std::max(repair_scan_, seg_base_);
+  for (auto ord = repair_scan_; ord < seg_end(); ++ord) {
+    Segment& seg = seg_at(ord);
     const bool is_head = seg.seq == snd_una_;
     if (seg.seq + seg.len > high_sacked_ && !is_head) break;  // holes live below high_sacked
-    if (seg.sacked || seg.retx_queued) continue;
+    if (seg.sacked || seg.retx_queued) {
+      if (ord == repair_scan_) ++repair_scan_;
+      continue;
+    }
     if (!seg.lost && !is_head) continue;
     // Window-gate the repairs. The head is exempt — it is the segment whose
     // absence pins snd_una, so recovery must always be able to resend it
@@ -217,6 +241,7 @@ void TcpSender::maybe_retransmit_holes() {
     if (!is_head && pipe_bytes() + seg.len > wnd) break;
     if (seg.lost) lost_bytes_ -= seg.len;  // repair goes back into the pipe
     seg.retx_queued = true;
+    if (ord == repair_scan_) ++repair_scan_;
     transmit(seg, /*is_retx=*/true);
   }
 }
@@ -269,6 +294,7 @@ void TcpSender::process_new_ack(const sim::Packet& ack) {
       have_sample_seg = true;
     }
     segments_.pop_front();
+    ++seg_base_;
   }
   high_sacked_ = std::max(high_sacked_, snd_una_);
 
@@ -302,6 +328,7 @@ void TcpSender::process_new_ack(const sim::Packet& ack) {
         if (seg.lost && seg.retx_queued) lost_bytes_ += seg.len;
         seg.retx_queued = false;
       }
+      repair_scan_ = seg_base_;
     } else {
       maybe_retransmit_holes();
     }
@@ -441,6 +468,7 @@ void TcpSender::on_rto_fire() {
       lost_bytes_ += seg.len;
     }
   }
+  repair_scan_ = seg_base_;
   cc_->on_rto(sched_.now());
   maybe_retransmit_holes();  // re-arms the (backed-off) timer via transmit()
 }
@@ -453,6 +481,53 @@ void TcpSender::maybe_complete() {
   sched_.cancel(rto_event_);
   sched_.cancel(pacing_event_);
   if (on_complete_) on_complete_(sched_.now());
+}
+
+std::string TcpSender::audit_scoreboard() const {
+  std::string err;
+  const auto expect = [&err](const char* what, std::int64_t kept, std::int64_t recounted) {
+    if (kept != recounted) {
+      err += std::string{what} + ": kept " + std::to_string(kept) + ", recounted " +
+             std::to_string(recounted) + "\n";
+    }
+  };
+  ByteCount sacked = 0;
+  ByteCount lost = 0;
+  ByteCount pipe = 0;
+  for (const auto& seg : segments_) {
+    if (seg.sacked) {
+      sacked += seg.len;
+    } else if (seg.lost && !seg.retx_queued) {
+      lost += seg.len;
+    } else {
+      pipe += seg.len;
+    }
+  }
+  expect("sacked_bytes", sacked_bytes_, sacked);
+  expect("lost_bytes", lost_bytes_, lost);
+  expect("pipe_bytes", pipe_bytes(), pipe);
+
+  // Walk back to front so `unsacked_above` is the first unsacked ordinal
+  // above the current one: a skip link may reach anywhere up to it.
+  std::uint64_t unsacked_above = seg_end();
+  for (std::uint64_t ord = seg_end(); ord-- > seg_base_;) {
+    const Segment& seg = segments_[ord - seg_base_];
+    const std::string at = " at ordinal " + std::to_string(ord) + "\n";
+    if (ord < lost_scan_ && !seg.sacked && !seg.lost) {
+      err += "unsacked, unlost segment below lost_scan" + at;
+    }
+    if (ord < repair_scan_ && !seg.sacked && !seg.retx_queued) {
+      err += "unsacked, unqueued segment below repair_scan" + at;
+    }
+    if (seg.sacked && seg.lost) err += "segment both sacked and lost" + at;
+    if (seg.sacked && (seg.skip == 0 || ord + seg.skip > unsacked_above)) {
+      err += "skip link crosses an unsacked segment" + at;
+    }
+    if (!seg.sacked) unsacked_above = ord;
+  }
+  if (lost_scan_ > seg_end()) err += "lost_scan past the last segment\n";
+  if (repair_scan_ > seg_end()) err += "repair_scan past the last segment\n";
+  return err;
 }
 
 }  // namespace ccc::flow

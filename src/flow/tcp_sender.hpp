@@ -14,6 +14,7 @@
 #include <deque>
 #include <functional>
 #include <memory>
+#include <string>
 
 #include "app/app.hpp"
 #include "cca/cca.hpp"
@@ -98,6 +99,13 @@ class TcpSender : public sim::PacketSink {
   /// Invoked once, when the app finishes and all its bytes are ACKed.
   void set_on_complete(std::function<void(Time)> fn) { on_complete_ = std::move(fn); }
 
+  /// Recounts the scoreboard from the outstanding segments and checks it
+  /// against the incremental state: SACKed bytes, lost-not-yet-repaired
+  /// bytes, pipe_bytes(), each scan cursor's invariant and every "next
+  /// unsacked" skip link. Returns an empty string when all agree, otherwise
+  /// one line per disagreement. O(outstanding segments); for tests.
+  [[nodiscard]] std::string audit_scoreboard() const;
+
   /// Hooks this sender into a per-scenario registry under `prefix` (e.g.
   /// "flow3"): live RTT histogram `<prefix>.rtt_ms`, interval-sampled cwnd
   /// trace `<prefix>.cwnd_bytes`, plus the CCA's own instruments under
@@ -117,8 +125,21 @@ class TcpSender : public sim::PacketSink {
     bool sacked{false};       ///< covered by a received SACK block
     bool lost{false};         ///< inferred lost (unsacked well below high_sacked)
     bool retx_queued{false};  ///< already retransmitted in this recovery
-    int transmissions{1};
+    /// Meaningful once sacked: a distance d >= 1 such that every segment
+    /// between this one and the one d ordinals above is sacked (see
+    /// next_unsacked()). 32 bits keep Segment at 40 bytes; a larger
+    /// outstanding window could not fit in memory anyway.
+    std::uint32_t skip{0};
   };
+
+  // The scoreboard is indexed by absolute segment ordinal: segments_[i] has
+  // ordinal seg_base_ + i, and pop_front() bumps seg_base_, so an ordinal
+  // stays valid for as long as its segment is outstanding.
+  [[nodiscard]] std::uint64_t seg_end() const { return seg_base_ + segments_.size(); }
+  [[nodiscard]] Segment& seg_at(std::uint64_t ord) { return segments_[ord - seg_base_]; }
+  /// First ordinal >= `ord` that is not SACKed (seg_end() if none). Follows
+  /// and compresses the skip links, so a long SACKed run is crossed once.
+  [[nodiscard]] std::uint64_t next_unsacked(std::uint64_t ord);
 
   void try_send();
   void on_start_fire();
@@ -149,6 +170,15 @@ class TcpSender : public sim::PacketSink {
   std::int64_t snd_una_{0};
   std::int64_t snd_nxt_{0};
   std::deque<Segment> segments_;  ///< unacked segments, ascending seq
+  std::uint64_t seg_base_{0};     ///< ordinal of segments_.front()
+  /// Scan cursors, as ordinals (a value below seg_base_ reads as seg_base_).
+  /// Every segment below lost_scan_ is SACKed or marked lost. A segment
+  /// leaves that state only by being popped (a SACK clears `lost` but sets
+  /// `sacked`), and the loss edge only rises, so it only moves forward.
+  std::uint64_t lost_scan_{0};
+  /// Every segment below repair_scan_ is SACKed or queued for retransmission.
+  /// Reset to the head wherever retx_queued is cleared (end of recovery, RTO).
+  std::uint64_t repair_scan_{0};
   ByteCount rwnd_{1 << 30};       ///< peer-advertised window (updated by ACKs)
 
   int dupacks_{0};

@@ -1,6 +1,11 @@
 // Unit tests for CCA state machines (driven with synthetic events).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
+#include <random>
+#include <set>
+
 #include "cca/aimd.hpp"
 #include "cca/bbr.hpp"
 #include "cca/copa.hpp"
@@ -241,6 +246,209 @@ TEST(Bbr, AppLimitedSamplesDontInflateModel) {
   low.app_limited = true;
   cc.on_ack(low);
   EXPECT_GT(cc.btlbw().to_mbps(), 9.0);
+}
+
+// Reference BBR whose btlbw() scans every sample in the window: the oracle
+// for Bbr's monotone-deque filter. Same state machine, same arithmetic; only
+// the filter differs (a plain deque, max by full scan).
+class FullScanBbr {
+ public:
+  [[nodiscard]] Rate btlbw() const {
+    Rate best = Rate::zero();
+    for (const auto& [round, r] : bw_samples_) best = std::max(best, r);
+    return best;
+  }
+  [[nodiscard]] Bbr::State state() const { return state_; }
+  [[nodiscard]] ByteCount cwnd_bytes() const {
+    if (state_ == Bbr::State::kProbeRtt) return 4 * kMss;
+    if (!filled_pipe_ && btlbw().is_zero()) return kInitialWindowBytes;
+    return bdp_with_gain(kCwndGain);
+  }
+  [[nodiscard]] Rate pacing_rate() const {
+    const Rate bw = btlbw();
+    return bw.is_zero() ? Rate::zero() : bw * pacing_gain_;
+  }
+  void on_ack(const AckEvent& ev) {
+    update_model(ev);
+    advance_state_machine(ev);
+  }
+  void on_rto() {
+    if (!filled_pipe_) {
+      state_ = Bbr::State::kStartup;
+      pacing_gain_ = kStartupGain;
+    }
+  }
+
+ private:
+  static constexpr ByteCount kMss = sim::kMss;
+  static constexpr double kStartupGain = 2.885;
+  static constexpr double kDrainGain = 1.0 / 2.885;
+  static constexpr double kCwndGain = 2.0;
+  static constexpr int kBwFilterRounds = 10;
+  static constexpr std::int64_t kMinRttExpirySec = 10;
+  static constexpr double kCycleGains[8] = {1.25, 0.75, 1, 1, 1, 1, 1, 1};
+
+  [[nodiscard]] ByteCount bdp_with_gain(double gain) const {
+    if (min_rtt_ == Time::never() || btlbw().is_zero()) return kInitialWindowBytes;
+    const auto bdp = static_cast<ByteCount>(btlbw().bytes_per_sec() * min_rtt_.to_sec() * gain);
+    return std::max<ByteCount>(bdp, 4 * kMss);
+  }
+
+  void update_model(const AckEvent& ev) {
+    if (ev.rtt_sample > Time::zero()) {
+      srtt_ = srtt_ == Time::zero() ? ev.rtt_sample
+                                    : Time::ns(static_cast<std::int64_t>(
+                                          0.875 * static_cast<double>(srtt_.count_ns()) +
+                                          0.125 * static_cast<double>(ev.rtt_sample.count_ns())));
+      if (ev.rtt_sample <= min_rtt_ || min_rtt_ == Time::never() ||
+          (ev.now - min_rtt_stamp_) > Time::sec(kMinRttExpirySec)) {
+        min_rtt_ = ev.rtt_sample;
+        min_rtt_stamp_ = ev.now;
+      }
+    }
+    if (srtt_ > Time::zero() && ev.now - round_started_ >= srtt_) {
+      ++round_;
+      round_started_ = ev.now;
+    }
+    if (!ev.delivery_rate.is_zero() && (!ev.app_limited || ev.delivery_rate > btlbw())) {
+      bw_samples_.emplace_back(round_, ev.delivery_rate);
+    }
+    while (!bw_samples_.empty() && bw_samples_.front().first + kBwFilterRounds < round_) {
+      bw_samples_.pop_front();
+    }
+  }
+
+  void enter_probe_bw(Time now) {
+    state_ = Bbr::State::kProbeBw;
+    cycle_idx_ = 0;
+    cycle_stamp_ = now;
+    pacing_gain_ = kCycleGains[0];
+  }
+
+  void advance_state_machine(const AckEvent& ev) {
+    switch (state_) {
+      case Bbr::State::kStartup: {
+        if (round_ == last_full_bw_round_) break;
+        last_full_bw_round_ = round_;
+        const Rate bw = btlbw();
+        if (bw.is_zero()) break;
+        if (bw > full_bw_ * 1.25) {
+          full_bw_ = bw;
+          full_bw_rounds_ = 0;
+        } else if (++full_bw_rounds_ >= 3) {
+          filled_pipe_ = true;
+          state_ = Bbr::State::kDrain;
+          pacing_gain_ = kDrainGain;
+        }
+        break;
+      }
+      case Bbr::State::kDrain:
+        if (ev.inflight_bytes <= bdp_with_gain(1.0)) enter_probe_bw(ev.now);
+        break;
+      case Bbr::State::kProbeBw:
+        if (min_rtt_ != Time::never() && ev.now - cycle_stamp_ >= min_rtt_) {
+          cycle_stamp_ = ev.now;
+          cycle_idx_ = (cycle_idx_ + 1) % 8;
+          pacing_gain_ = kCycleGains[cycle_idx_];
+        }
+        if (ev.now - min_rtt_stamp_ > Time::sec(kMinRttExpirySec)) {
+          state_ = Bbr::State::kProbeRtt;
+          probe_rtt_done_ = ev.now + std::max(Time::ms(200), srtt_);
+          pacing_gain_ = 1.0;
+        }
+        break;
+      case Bbr::State::kProbeRtt:
+        if (ev.now >= probe_rtt_done_) {
+          min_rtt_stamp_ = ev.now;
+          if (filled_pipe_) {
+            enter_probe_bw(ev.now);
+          } else {
+            state_ = Bbr::State::kStartup;
+            pacing_gain_ = kStartupGain;
+          }
+        }
+        break;
+    }
+  }
+
+  Bbr::State state_{Bbr::State::kStartup};
+  std::deque<std::pair<std::uint64_t, Rate>> bw_samples_;
+  std::uint64_t round_{0};
+  Time round_started_{Time::zero()};
+  Time srtt_{Time::zero()};
+  Time min_rtt_{Time::never()};
+  Time min_rtt_stamp_{Time::zero()};
+  Time probe_rtt_done_{Time::never()};
+  Rate full_bw_{Rate::zero()};
+  int full_bw_rounds_{0};
+  std::uint64_t last_full_bw_round_{0};
+  bool filled_pipe_{false};
+  int cycle_idx_{0};
+  Time cycle_stamp_{Time::zero()};
+  double pacing_gain_{kStartupGain};
+};
+
+TEST(Bbr, MaxFilterMatchesFullScanReference) {
+  // Seeded random ACK streams in phases that stress the filter: rates from a
+  // small grid (ties), app-limited samples, sharp rate drops (the old max
+  // must age out on time), and stretches with no usable sample for more
+  // than kBwFilterRounds rounds (the filter empties), plus long stretches of
+  // RTTs above the minimum, some ACKs without an RTT sample, which let the
+  // min-RTT estimate go stale (ProbeRTT). Losses and timeouts are mixed in;
+  // all four observable outputs must agree after every event.
+  std::set<Bbr::State> states_seen;
+  int filter_emptied = 0;
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    std::mt19937_64 rng{seed};
+    const auto uniform = [&rng](int lo, int hi) {
+      return std::uniform_int_distribution<int>{lo, hi}(rng);
+    };
+    Bbr cc;
+    FullScanBbr ref;
+    Time t = Time::zero();
+    int phase_left = 0;
+    int phase = 0;
+    int rate_hi = 50;
+    for (int i = 0; i < 20'000; ++i) {
+      if (phase_left-- <= 0) {
+        phase = uniform(0, 4);
+        phase_left = uniform(20, 600);
+        if (phase == 2) rate_hi = uniform(1, 8);  // a drop well below the old max
+        if (phase != 2) rate_hi = uniform(10, 60);
+      }
+      t += phase == 4 ? Time::ms(uniform(10, 40)) : Time::us(uniform(100, 8'000));
+      AckEvent ev = ack(t, sim::kMss, Time::ms(uniform(20, 120)),
+                        Rate::mbps(uniform(1, rate_hi)), uniform(0, 80) * sim::kMss);
+      if (phase == 4) {
+        ev.rtt_sample = uniform(0, 1) == 0 ? Time::zero() : Time::ms(uniform(150, 250));
+      }
+      if (phase == 1) ev.app_limited = uniform(0, 1) == 1;
+      if (phase == 3) {
+        // No usable sample: zero rates, or app-limited ones below the max.
+        ev.delivery_rate = uniform(0, 1) == 0 ? Rate::zero() : Rate::kbps(uniform(1, 50));
+        ev.app_limited = true;
+      }
+      if (uniform(0, 50) == 0) ev.rtt_sample = Time::zero();
+      const bool had_model = !ref.btlbw().is_zero();
+      cc.on_ack(ev);
+      ref.on_ack(ev);
+      if (uniform(0, 400) == 0) {
+        cc.on_loss(loss(t, ev.inflight_bytes));
+      }
+      if (uniform(0, 2'000) == 0) {
+        cc.on_rto(t);
+        ref.on_rto();
+      }
+      ASSERT_EQ(cc.btlbw(), ref.btlbw()) << "seed " << seed << " ack " << i;
+      ASSERT_EQ(cc.pacing_rate(), ref.pacing_rate()) << "seed " << seed << " ack " << i;
+      ASSERT_EQ(cc.cwnd_bytes(), ref.cwnd_bytes()) << "seed " << seed << " ack " << i;
+      ASSERT_EQ(cc.state(), ref.state()) << "seed " << seed << " ack " << i;
+      states_seen.insert(cc.state());
+      if (had_model && ref.btlbw().is_zero()) ++filter_emptied;
+    }
+  }
+  EXPECT_EQ(states_seen.size(), 4u) << "the streams must visit every BBR state";
+  EXPECT_GT(filter_emptied, 0) << "the streams must age every sample out at least once";
 }
 
 // ---------- Copa ----------

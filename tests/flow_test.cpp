@@ -3,7 +3,11 @@
 // single dumbbell.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
+#include <random>
+#include <string>
+#include <vector>
 
 #include "app/bulk.hpp"
 #include "app/rate_limited.hpp"
@@ -274,6 +278,156 @@ TEST(TcpFlow, IdleRestartCollapsesStaleWindow) {
   const auto snap = net.snapshot_delivered();
   net.run_until(Time::sec(16.0));
   EXPECT_GT(net.goodput_mbps_since(0, snap, Time::sec(4.0)), 7.0);
+}
+
+// Captures the ACKs a receiver emits.
+class AckCollector : public sim::PacketSink {
+ public:
+  void deliver(const sim::Packet& pkt) override { acks.push_back(pkt); }
+  std::vector<sim::Packet> acks;
+};
+
+TEST(TcpReceiver, ReceivedTotalMatchesRecountedCoverage) {
+  // Seeded random reorder/duplicate data streams. The test keeps its own copy
+  // of the receiver's reassembly state (same merge rules, including the
+  // forward-only merge that lets a duplicate inside a range add an
+  // overlapping entry) and recomputes the coverage sum from scratch for every
+  // ACK; the receiver's maintained counter must match it exactly.
+  int overlapping_inserts = 0;
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    std::mt19937_64 rng{seed};
+    const auto uniform = [&rng](int lo, int hi) {
+      return std::uniform_int_distribution<int>{lo, hi}(rng);
+    };
+    sim::Scheduler sched;
+    AckCollector out;
+    TcpReceiver rx{sched, 1, 1, out};
+    std::int64_t rcv_nxt = 0;
+    std::map<std::int64_t, std::int64_t> ooo;
+    int top = 0;  // highest segment index sent so far
+    for (int i = 0; i < 4'000; ++i) {
+      // Mostly new data a little ahead of the edge, sometimes a duplicate of
+      // anything already sent; a short payload now and then.
+      top += uniform(0, 3) == 0 ? 0 : 1;
+      const int idx = uniform(0, 5) == 0 ? uniform(0, top) : std::max(0, top - uniform(0, 12));
+      sim::Packet pkt;
+      pkt.flow = 1;
+      pkt.seq = static_cast<std::int64_t>(idx) * sim::kMss;
+      pkt.payload_bytes = uniform(0, 20) == 0 ? uniform(1, sim::kMss) : sim::kMss;
+      pkt.size_bytes = pkt.payload_bytes + sim::kHeaderBytes;
+      rx.deliver(pkt);
+
+      const std::int64_t start = pkt.seq;
+      const std::int64_t end = pkt.seq + pkt.payload_bytes;
+      if (end <= rcv_nxt) {
+        // duplicate below the cumulative edge
+      } else if (start <= rcv_nxt) {
+        rcv_nxt = end;
+        for (auto it = ooo.begin(); it != ooo.end() && it->first <= rcv_nxt;) {
+          rcv_nxt = std::max(rcv_nxt, it->second);
+          it = ooo.erase(it);
+        }
+      } else {
+        auto [it, inserted] = ooo.try_emplace(start, end);
+        if (!inserted) it->second = std::max(it->second, end);
+        if (inserted && it != ooo.begin() && std::prev(it)->second > start) ++overlapping_inserts;
+        for (auto next = std::next(it); next != ooo.end() && next->first <= it->second;) {
+          it->second = std::max(it->second, next->second);
+          next = ooo.erase(next);
+        }
+      }
+      std::int64_t coverage = rcv_nxt;
+      for (const auto& [lo, hi] : ooo) coverage += hi - lo;
+
+      ASSERT_EQ(out.acks.size(), static_cast<std::size_t>(i + 1));
+      const sim::Packet& ack = out.acks.back();
+      ASSERT_EQ(ack.ack_seq, rcv_nxt) << "seed " << seed << " packet " << i;
+      ASSERT_EQ(ack.received_total, coverage) << "seed " << seed << " packet " << i;
+    }
+  }
+  EXPECT_GT(overlapping_inserts, 0) << "the streams never hit the overlapping-entry case";
+}
+
+// Drops packets at random (probability `p`, settable mid-run) and, for
+// data, sometimes delivers a second copy a little later: the adversarial
+// path for the scoreboard audit below.
+class LossyPath : public sim::PacketSink {
+ public:
+  LossyPath(sim::Scheduler& sched, sim::PacketSink& next, std::uint64_t seed, double p)
+      : sched_{sched}, next_{next}, rng_{seed}, p_{p} {}
+  void set_drop_probability(double p) { p_ = p; }
+  void deliver(const sim::Packet& pkt) override {
+    if (std::uniform_real_distribution<double>{0.0, 1.0}(rng_) < p_) return;
+    next_.deliver(pkt);
+    if (!pkt.is_ack && std::uniform_int_distribution<int>{0, 200}(rng_) == 0) {
+      sched_.schedule_after(Time::ms(3), [this, pkt] { next_.deliver(pkt); });
+    }
+  }
+
+ private:
+  sim::Scheduler& sched_;
+  sim::PacketSink& next_;
+  std::mt19937_64 rng_;
+  double p_;
+};
+
+// Hands each ACK to the sender, then recounts its scoreboard; keeps the
+// first disagreement.
+class AuditedAckPath : public sim::PacketSink {
+ public:
+  void deliver(const sim::Packet& pkt) override {
+    sender->deliver(pkt);
+    ++acks;
+    if (failure.empty()) {
+      const std::string err = sender->audit_scoreboard();
+      if (!err.empty()) failure = "after ACK " + std::to_string(acks) + ":\n" + err;
+    }
+  }
+  TcpSender* sender{nullptr};
+  std::uint64_t acks{0};
+  std::string failure;
+};
+
+TEST(TcpSender, ScoreboardMatchesRecountOnLossyPaths) {
+  // Random data and ACK loss, duplicated data, a mid-flight bottleneck rate
+  // cut and restore, and a two-second blackout that forces timeouts. After
+  // every ACK the incremental scoreboard (SACKed/lost byte counters, pipe,
+  // scan cursors, skip links) must equal a recount from the segments.
+  for (const char* cca_name : {"reno", "cubic", "bbr"}) {
+    for (std::uint64_t seed = 1; seed <= 2; ++seed) {
+      SCOPED_TRACE(std::string{cca_name} + " seed " + std::to_string(seed));
+      sim::Scheduler sched;
+      sim::FlowDemux demux;
+      sim::Link bottleneck{sched, Rate::mbps(20), Time::ms(10),
+                           std::make_unique<queue::DropTailQueue>(60 * sim::kFullPacket), demux};
+      sim::LinkSink to_bottleneck{bottleneck};
+      LossyPath data_path{sched, to_bottleneck, seed, 0.02};
+      app::BulkApp bulk;
+      SenderConfig scfg;
+      scfg.flow_id = 1;
+      TcpSender sender{sched, scfg, core::make_cca_factory(cca_name)(), bulk, data_path};
+      AuditedAckPath audited;
+      audited.sender = &sender;
+      sim::DelayLine reverse{sched, Time::ms(10), audited};
+      LossyPath ack_path{sched, reverse, seed + 100, 0.05};
+      TcpReceiver receiver{sched, 1, 1, ack_path};
+      demux.register_flow(1, receiver);
+      sender.start(Time::zero());
+
+      sched.schedule_at(Time::sec(3.0), [&] { bottleneck.set_rate(Rate::mbps(4)); });
+      sched.schedule_at(Time::sec(5.0), [&] { bottleneck.set_rate(Rate::mbps(20)); });
+      sched.schedule_at(Time::sec(7.0), [&] { data_path.set_drop_probability(1.0); });
+      sched.schedule_at(Time::sec(9.0), [&] { data_path.set_drop_probability(0.02); });
+      sched.run_until(Time::sec(14.0));
+
+      EXPECT_EQ(audited.failure, "");
+      EXPECT_GT(audited.acks, 1'000u);
+      EXPECT_GT(sender.stats().retransmissions, 0u);
+      EXPECT_GT(sender.stats().recovery_episodes, 0u);
+      EXPECT_GE(sender.stats().rto_events, 1u);
+      EXPECT_GT(receiver.delivered_bytes(), 1'000'000);
+    }
+  }
 }
 
 }  // namespace
