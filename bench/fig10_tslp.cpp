@@ -98,7 +98,9 @@ Verdicts run_case(bool contention) {
 /// guarded_main error boundary (structured message + exit-code contract).
 int run_bench(int argc, char** argv) {
   using namespace ccc;
-  auto cli = bench::Cli::parse(argc, argv, "fig10_tslp");
+  using S = bench::Shared;
+  bench::Cli cli{"fig10_tslp", {S::kOut, S::kReport}};
+  cli.parse(argc, argv);
   std::ostream& os = cli.output();
   print_banner(os, "E10 (§4): TSLP vs the elasticity probe on two congested links");
 

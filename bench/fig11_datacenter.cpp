@@ -94,7 +94,9 @@ DcOutcome run_case(const std::string& cca, bool fq, ByteCount ecn_threshold) {
 /// guarded_main error boundary (structured message + exit-code contract).
 int run_bench(int argc, char** argv) {
   using namespace ccc;
-  auto cli = bench::Cli::parse(argc, argv, "fig11_datacenter");
+  using S = bench::Shared;
+  bench::Cli cli{"fig11_datacenter", {S::kOut, S::kReport}};
+  cli.parse(argc, argv);
   std::ostream& os = cli.output();
   telemetry::RunReport report{"fig11_datacenter", core::DumbbellConfig{}.seed};
   print_banner(os,

@@ -43,7 +43,9 @@ struct Service {
 /// guarded_main error boundary (structured message + exit-code contract).
 int run_bench(int argc, char** argv) {
   using namespace ccc;
-  auto cli = bench::Cli::parse(argc, argv, "fig12_rcs");
+  using S = bench::Shared;
+  bench::Cli cli{"fig12_rcs", {S::kOut, S::kReport}};
+  cli.parse(argc, argv);
   std::ostream& os = cli.output();
   print_banner(os, "E12 (§5.3): Recursive Congestion Shares on a 90 Mbit/s ISP link");
 

@@ -47,7 +47,9 @@ const double kWeights[3] = {4.0, 2.0, 1.0};
 /// guarded_main error boundary (structured message + exit-code contract).
 int run_bench(int argc, char** argv) {
   using namespace ccc;
-  auto cli = bench::Cli::parse(argc, argv, "fig13_bwe");
+  using S = bench::Shared;
+  bench::Cli cli{"fig13_bwe", {S::kOut, S::kReport}};
+  cli.parse(argc, argv);
   std::ostream& os = cli.output();
   telemetry::RunReport report{"fig13_bwe", wan().seed};
   auto report_regime = [&report](const std::string& scope, const std::vector<double>& g) {

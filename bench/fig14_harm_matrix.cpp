@@ -80,7 +80,9 @@ struct Scenario {
 /// guarded_main error boundary (structured message + exit-code contract).
 int run_bench(int argc, char** argv) {
   using namespace ccc;
-  auto cli = bench::Cli::parse(argc, argv, "fig14_harm_matrix");
+  using S = bench::Shared;
+  bench::Cli cli{"fig14_harm_matrix", {S::kJobs, S::kOut, S::kReport}};
+  cli.parse(argc, argv);
   std::ostream& os = cli.output();
   const std::vector<std::string> ccas{"reno", "cubic", "bbr", "vegas"};
 

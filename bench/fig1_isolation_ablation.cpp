@@ -88,7 +88,9 @@ Outcome run_with(const QdiscFactory& make_qdisc) {
 /// guarded_main error boundary (structured message + exit-code contract).
 int run_bench(int argc, char** argv) {
   using namespace ccc;
-  auto cli = bench::Cli::parse(argc, argv, "fig1_isolation_ablation");
+  using S = bench::Shared;
+  bench::Cli cli{"fig1_isolation_ablation", {S::kJobs, S::kOut, S::kReport}};
+  cli.parse(argc, argv);
   std::ostream& os = cli.output();
   const auto buf = core::dumbbell_buffer_bytes(agg_link());
 

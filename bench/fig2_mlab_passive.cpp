@@ -25,9 +25,7 @@
 // The default invocation (neither flag) runs the pipeline serially over the
 // in-memory dataset; its output is byte-identical to the pre-store version
 // of this bench.
-#include <cerrno>
 #include <cstdint>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -54,52 +52,26 @@ namespace {
 namespace fs = std::filesystem;
 using namespace ccc;
 
-struct Fig2Options {
-  std::string input;     ///< *.csv or *.ccfs dataset; "" = synthetic
-  std::size_t scale{0};  ///< multiply the paper's 9,984 flows; 0 = off
-  bool strict{false};    ///< fail fast on corrupt shards/records
-  std::size_t readahead{0};  ///< store readahead window in flows; 0 = off
-};
-
 bool ends_with(const std::string& s, std::string_view suffix) {
   return s.size() >= suffix.size() && s.compare(s.size() - suffix.size(),
                                                 suffix.size(), suffix) == 0;
 }
 
-[[noreturn]] void usage_error(const std::string& msg) {
-  std::cerr << "fig2_mlab_passive: " << msg << "\n"
-            << bench::Cli::usage("fig2_mlab_passive");
-  std::exit(2);
-}
-
-/// The flag values themselves are parsed (strictly: garbage/overflow exit 2)
-/// by bench::Cli since PR 7; what stays here is fig2's semantic validation —
-/// dataset suffix, readability, --input/--scale exclusivity — plus the
-/// rejection of anything Cli didn't recognize (a typo'd flag silently
-/// ignored would silently analyze the wrong dataset).
-Fig2Options validate_flags(const bench::Cli& cli) {
-  if (!cli.rest.empty()) {
-    usage_error("unrecognized or incomplete argument '" + cli.rest.front() + "'");
-  }
-  Fig2Options opt;
-  opt.strict = cli.strict;
-  opt.readahead = cli.readahead;
-  if (cli.has_scale) opt.scale = cli.scale;
+/// fig2's semantic checks on top of the flag values: dataset suffix,
+/// readability, --input/--scale exclusivity. A typo'd or missing dataset is
+/// a usage error before any work starts, not a mid-run exception.
+void validate_flags(const bench::Cli& cli) {
   if (!cli.input.empty()) {
-    opt.input = cli.input;
-    if (!ends_with(opt.input, ".csv") && !ends_with(opt.input, ".ccfs")) {
-      usage_error("--input path '" + opt.input + "' must end in .csv or .ccfs");
+    if (!ends_with(cli.input, ".csv") && !ends_with(cli.input, ".ccfs")) {
+      throw Error::config("--input", "path '" + cli.input + "' must end in .csv or .ccfs");
     }
-    // Probe readability now: "file not found" should be a clean usage
-    // error before any work starts, not a mid-run exception.
-    if (std::ifstream probe{opt.input}; !probe) {
-      usage_error("cannot open --input file '" + opt.input + "'");
+    if (std::ifstream probe{cli.input}; !probe) {
+      throw Error::config("--input", "cannot open '" + cli.input + "'");
+    }
+    if (cli.scale != 0) {
+      throw Error::config("--input", "--input and --scale are mutually exclusive");
     }
   }
-  if (!opt.input.empty() && cli.has_scale) {
-    usage_error("--input and --scale are mutually exclusive");
-  }
-  return opt;
 }
 
 /// Temporary ccfs shards for the streamed paths; removed on destruction.
@@ -218,29 +190,29 @@ int run_paper_scale(bench::Cli& cli, std::uint64_t seed) {
 
 // ---------- the at-scale (store + sharded pipeline) path ----------
 
-int run_at_scale(bench::Cli& cli, std::uint64_t seed, const Fig2Options& opt) {
+int run_at_scale(bench::Cli& cli, std::uint64_t seed) {
   std::ostream& os = cli.output();
 
   // Stage 0: materialize the dataset as ccfs shards (unless given one).
   ScratchStore scratch;
   std::vector<std::string> store_paths;
   std::string dataset_desc;
-  if (!opt.input.empty() && ends_with(opt.input, ".ccfs")) {
-    store_paths.push_back(opt.input);
-    dataset_desc = opt.input;
+  if (!cli.input.empty() && ends_with(cli.input, ".ccfs")) {
+    store_paths.push_back(cli.input);
+    dataset_desc = cli.input;
   } else {
     const auto scratch_base =
         (fs::temp_directory_path() /
          ("fig2_scale." + std::to_string(static_cast<std::uint64_t>(seed)) + "." +
-          std::to_string(opt.scale) + ".ccfs"))
+          std::to_string(cli.scale) + ".ccfs"))
             .string();
     // 64k flows/shard keeps shard files ~55 MB and lets very large runs
     // be inspected / resumed file by file.
     store::ShardedFlowStoreWriter writer{scratch_base, 65536};
-    if (!opt.input.empty()) {
-      std::ifstream csv{opt.input};
+    if (!cli.input.empty()) {
+      std::ifstream csv{cli.input};
       if (!csv) {
-        std::cerr << "fig2_mlab_passive: cannot open --input file '" << opt.input << "'\n";
+        std::cerr << "fig2_mlab_passive: cannot open --input file '" << cli.input << "'\n";
         return 2;
       }
       mlab::CsvParseStats stats;
@@ -250,14 +222,14 @@ int run_at_scale(bench::Cli& cli, std::uint64_t seed, const Fig2Options& opt) {
         std::cerr << "fig2_mlab_passive: skipped " << stats.rows_skipped
                   << " malformed CSV rows (parsed " << stats.rows_parsed << ")\n";
       }
-      dataset_desc = opt.input;
+      dataset_desc = cli.input;
     } else {
       mlab::SyntheticConfig scfg;
-      scfg.n_flows *= opt.scale;
+      scfg.n_flows *= cli.scale;
       Rng rng{seed};
       mlab::generate_dataset_stream(
           scfg, rng, [&writer](mlab::NdtRecord&& rec) { writer.append(rec); });
-      dataset_desc = "synthetic x" + std::to_string(opt.scale);
+      dataset_desc = "synthetic x" + std::to_string(cli.scale);
     }
     store_paths = writer.finish();
     scratch.paths = store_paths;
@@ -271,12 +243,12 @@ int run_at_scale(bench::Cli& cli, std::uint64_t seed, const Fig2Options& opt) {
   // is faster when the dataset fits in RAM.
   if (cli.procs > 0) {
     pipeline::ShardOpenOptions fsopts;
-    fsopts.strict = opt.strict;
-    fsopts.sequential = opt.readahead > 0;
-    fsopts.readahead_flows = opt.readahead;
+    fsopts.strict = cli.strict;
+    fsopts.sequential = cli.readahead > 0;
+    fsopts.readahead_flows = cli.readahead;
     pipeline::PipelineConfig fcfg;
-    fcfg.strict = opt.strict;
-    fcfg.readahead_flows = opt.readahead;
+    fcfg.strict = cli.strict;
+    fcfg.readahead_flows = cli.readahead;
     const auto forked =
         pipeline::run_pipeline_forked(store_paths, fcfg, fsopts, cli.procs);
     for (const auto& f : forked.failures) {
@@ -310,8 +282,8 @@ int run_at_scale(bench::Cli& cli, std::uint64_t seed, const Fig2Options& opt) {
   // into a diagnostic + exit 1).
   telemetry::MetricRegistry io_metrics;
   pipeline::ShardOpenOptions sopts;
-  sopts.strict = opt.strict;
-  sopts.sequential = opt.readahead > 0;
+  sopts.strict = cli.strict;
+  sopts.sequential = cli.readahead > 0;
   const auto shards = pipeline::ShardSet::open(store_paths, sopts, &io_metrics);
   for (const auto& f : shards.failures()) {
     std::cerr << "fig2_mlab_passive: skipping unreadable shard: " << f.detail << "\n";
@@ -330,9 +302,9 @@ int run_at_scale(bench::Cli& cli, std::uint64_t seed, const Fig2Options& opt) {
                        std::to_string(shards.shards_opened()) + " ccfs shards)");
 
   pipeline::PipelineConfig pcfg;
-  pcfg.jobs = cli.serial ? 1 : cli.jobs;
-  pcfg.strict = opt.strict;
-  pcfg.readahead_flows = opt.readahead;
+  pcfg.jobs = cli.jobs;
+  pcfg.strict = cli.strict;
+  pcfg.readahead_flows = cli.readahead;
   pcfg.on_progress = bench::stderr_progress("fig2_mlab_passive: shards");
   auto res = pipeline::run_pipeline(shards.source(), pcfg);
   res.metrics.merge_from(io_metrics);  // shards_failed / shards_opened
@@ -356,10 +328,13 @@ int run_at_scale(bench::Cli& cli, std::uint64_t seed, const Fig2Options& opt) {
 
 int main(int argc, char** argv) {
   return bench::guarded_main("fig2_mlab_passive", [&] {
-    auto cli = bench::Cli::parse(argc, argv, "fig2_mlab_passive");
-    const Fig2Options opt = validate_flags(cli);
+    using S = bench::Shared;
+    bench::Cli cli{"fig2_mlab_passive", {S::kJobs, S::kSeed, S::kInput, S::kScale, S::kReadahead,
+                                         S::kStrict, S::kProcs, S::kOut, S::kReport}};
+    cli.parse(argc, argv);
+    validate_flags(cli);
     const std::uint64_t seed = cli.seed_or(20230601);  // June 2023, in spirit
-    if (opt.input.empty() && opt.scale == 0) return run_paper_scale(cli, seed);
-    return run_at_scale(cli, seed, opt);
+    if (cli.input.empty() && cli.scale == 0) return run_paper_scale(cli, seed);
+    return run_at_scale(cli, seed);
   });
 }

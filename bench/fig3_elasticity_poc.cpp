@@ -67,7 +67,10 @@ int run_service_sweep(ccc::bench::Cli& cli, const ccc::core::ElasticityPocConfig
 int run_bench(int argc, char** argv) {
   using namespace ccc;
 
-  auto cli = bench::Cli::parse(argc, argv, "fig3_elasticity_poc");
+  using S = bench::Shared;
+  bench::Cli cli{"fig3_elasticity_poc",
+                 {S::kJobs, S::kSeed, S::kDuration, S::kSerial, S::kService, S::kOut, S::kReport}};
+  cli.parse(argc, argv);
   std::ostream& os = cli.output();
 
   core::ElasticityPocConfig cfg;  // paper defaults: 48 Mbit/s, 100 ms, 45 s

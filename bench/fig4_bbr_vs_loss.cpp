@@ -52,7 +52,9 @@ double bbr_share(int n_cubic, double buffer_bdp, bool fq) {
 /// guarded_main error boundary (structured message + exit-code contract).
 int run_bench(int argc, char** argv) {
   using namespace ccc;
-  auto cli = bench::Cli::parse(argc, argv, "fig4_bbr_vs_loss");
+  using S = bench::Shared;
+  bench::Cli cli{"fig4_bbr_vs_loss", {S::kOut, S::kReport}};
+  cli.parse(argc, argv);
   std::ostream& os = cli.output();
   telemetry::RunReport report{"fig4_bbr_vs_loss", core::DumbbellConfig{}.seed};
   print_banner(os, "E4: one BBR flow vs N Cubic flows (Ware et al. shape)");

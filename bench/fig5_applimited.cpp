@@ -38,7 +38,9 @@ core::DumbbellConfig access_link() {
 /// guarded_main error boundary (structured message + exit-code contract).
 int run_bench(int argc, char** argv) {
   using namespace ccc;
-  auto cli = bench::Cli::parse(argc, argv, "fig5_applimited");
+  using S = bench::Shared;
+  bench::Cli cli{"fig5_applimited", {S::kOut, S::kReport}};
+  cli.parse(argc, argv);
   std::ostream& os = cli.output();
   telemetry::RunReport report{"fig5_applimited", access_link().seed};
   print_banner(os, "E5: app-limited flows get their offered load (until capacity)");

@@ -70,7 +70,9 @@ WindowStats run_case(double bdp_packets, int n_flows) {
 /// guarded_main error boundary (structured message + exit-code contract).
 int run_bench(int argc, char** argv) {
   using namespace ccc;
-  auto cli = bench::Cli::parse(argc, argv, "fig6_subpacket_bdp");
+  using S = bench::Shared;
+  bench::Cli cli{"fig6_subpacket_bdp", {S::kOut, S::kReport}};
+  cli.parse(argc, argv);
   std::ostream& os = cli.output();
   telemetry::RunReport report{"fig6_subpacket_bdp", core::DumbbellConfig{}.seed};
   print_banner(os, "E6: sub-packet BDP regimes starve flows on short timescales");

@@ -83,7 +83,9 @@ struct Point {
 /// guarded_main error boundary (structured message + exit-code contract).
 int run_bench(int argc, char** argv) {
   using namespace ccc;
-  auto cli = bench::Cli::parse(argc, argv, "fig7_elasticity_ablation");
+  using S = bench::Shared;
+  bench::Cli cli{"fig7_elasticity_ablation", {S::kJobs, S::kOut, S::kReport}};
+  cli.parse(argc, argv);
   std::ostream& os = cli.output();
 
   std::vector<Point> sweep;

@@ -107,7 +107,9 @@ Outcome run_cca(const std::string& name, bool random_walk) {
 /// guarded_main error boundary (structured message + exit-code contract).
 int run_bench(int argc, char** argv) {
   using namespace ccc;
-  auto cli = bench::Cli::parse(argc, argv, "fig8_variability");
+  using S = bench::Shared;
+  bench::Cli cli{"fig8_variability", {S::kJobs, S::kOut, S::kReport}};
+  cli.parse(argc, argv);
   std::ostream& os = cli.output();
   const std::vector<std::string> ccas{"reno", "cubic", "bbr", "vegas", "copa", "nimbus"};
 

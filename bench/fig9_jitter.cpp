@@ -96,7 +96,9 @@ JitterOutcome run_case(std::unique_ptr<sim::Qdisc> qdisc) {
 /// guarded_main error boundary (structured message + exit-code contract).
 int run_bench(int argc, char** argv) {
   using namespace ccc;
-  auto cli = bench::Cli::parse(argc, argv, "fig9_jitter");
+  using S = bench::Shared;
+  bench::Cli cli{"fig9_jitter", {S::kOut, S::kReport}};
+  cli.parse(argc, argv);
   std::ostream& os = cli.output();
   telemetry::RunReport report{"fig9_jitter", core::DumbbellConfig{}.seed};
   print_banner(os,

@@ -27,10 +27,8 @@
 // same corpus, reporting per-flow verdict agreement against the exhaustive
 // baseline and the series bytes each policy actually read.
 #include <algorithm>
-#include <cerrno>
 #include <csignal>
 #include <cstdint>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -75,120 +73,23 @@ struct IngestdOptions {
   bool exit_sweep{false};
 };
 
-std::string ingestd_usage() {
-  return bench::Cli::usage("ingestd") +
-         "\nstream modes (exactly one; --scale/--input come from the shared flags):\n"
-         "  --spool DIR           consume sealed ccfs shards from DIR\n"
-         "  --stdin               NDT CSV rows on stdin\n"
-         "  --socket PATH         NDT CSV rows on a unix domain socket\n"
-         "ingest knobs:\n"
-         "  --follow              spool: keep watching for new shards\n"
-         "  --replay N            spool: sweep the corpus N times\n"
-         "  --early-exit MODE     off | fixed | adaptive (default off)\n"
-         "  --margin F            adaptive early-exit uncertainty band (default 0.5)\n"
-         "  --window N            changepoint window, samples (default 0 = full series)\n"
-         "  --epoch-flows N       flush/rotate/report cadence (default 65536)\n"
-         "  --out-store BASE      re-write the stream as rotated ccfs shards\n"
-         "  --shard-flows N       output shard size cap (default 65536)\n"
-         "  --max-flows N         stop after N flows (default 0 = stream end)\n"
-         "  --exit-sweep          run the early-exit tradeoff sweep and exit\n";
-}
-
-[[noreturn]] void usage_error(const std::string& msg) {
-  std::cerr << "ingestd: " << msg << "\n" << ingestd_usage();
-  std::exit(2);
-}
-
-std::uint64_t parse_u64_flag(const std::string& flag, const std::string& v) {
-  if (v.empty() || v.front() == '-') usage_error("invalid " + flag + " value '" + v + "'");
-  errno = 0;
-  char* end = nullptr;
-  const std::uint64_t n = std::strtoull(v.c_str(), &end, 10);
-  if (errno == ERANGE || end == v.c_str() || *end != '\0') {
-    usage_error("invalid " + flag + " value '" + v + "'");
-  }
-  return n;
-}
-
-double parse_double_flag(const std::string& flag, const std::string& v) {
-  char* end = nullptr;
-  const double d = std::strtod(v.c_str(), &end);
-  if (v.empty() || end == v.c_str() || *end != '\0') {
-    usage_error("invalid " + flag + " value '" + v + "'");
-  }
-  return d;
-}
-
-/// Parses ingestd's own flags out of cli.rest (both "--flag V" and
-/// "--flag=V" forms); anything left over is a usage error.
-IngestdOptions parse_extra(const bench::Cli& cli) {
-  IngestdOptions opt;
-  const auto& rest = cli.rest;
-  for (std::size_t i = 0; i < rest.size(); ++i) {
-    const std::string& arg = rest[i];
-    const auto value = [&](const char* flag) -> std::string {
-      const std::string prefix = std::string{flag} + "=";
-      if (arg.rfind(prefix, 0) == 0) return arg.substr(prefix.size());
-      if (i + 1 >= rest.size()) usage_error(std::string{flag} + " needs a value");
-      return rest[++i];
-    };
-    const auto is = [&](const char* flag) {
-      return arg == flag || arg.rfind(std::string{flag} + "=", 0) == 0;
-    };
-    if (arg == "--stdin") {
-      opt.use_stdin = true;
-    } else if (arg == "--follow") {
-      opt.follow = true;
-    } else if (arg == "--exit-sweep") {
-      opt.exit_sweep = true;
-    } else if (is("--spool")) {
-      opt.spool = value("--spool");
-    } else if (is("--socket")) {
-      opt.socket = value("--socket");
-    } else if (is("--replay")) {
-      opt.replay = parse_u64_flag("--replay", value("--replay"));
-      if (opt.replay == 0) usage_error("--replay must be >= 1");
-    } else if (is("--early-exit")) {
-      const auto v = value("--early-exit");
-      if (!pipeline::early_exit_policy_from_string(v, opt.policy)) {
-        usage_error("invalid --early-exit value '" + v + "' (want off|fixed|adaptive)");
-      }
-    } else if (is("--margin")) {
-      opt.margin = parse_double_flag("--margin", value("--margin"));
-      if (opt.margin < 0.0 || opt.margin >= 1.0) usage_error("--margin must be in [0, 1)");
-    } else if (is("--window")) {
-      opt.window = parse_u64_flag("--window", value("--window"));
-    } else if (is("--epoch-flows")) {
-      opt.epoch_flows = parse_u64_flag("--epoch-flows", value("--epoch-flows"));
-    } else if (is("--out-store")) {
-      opt.out_store = value("--out-store");
-    } else if (is("--shard-flows")) {
-      opt.shard_flows = parse_u64_flag("--shard-flows", value("--shard-flows"));
-      if (opt.shard_flows == 0) usage_error("--shard-flows must be >= 1");
-    } else if (is("--max-flows")) {
-      opt.max_flows = parse_u64_flag("--max-flows", value("--max-flows"));
-    } else {
-      usage_error("unrecognized or incomplete argument '" + arg + "'");
-    }
-  }
-
-  int modes = 0;
-  modes += !opt.spool.empty();
-  modes += opt.use_stdin;
-  modes += !opt.socket.empty();
-  modes += cli.has_scale;
-  modes += !cli.input.empty();
+/// What single flags cannot check: exactly one input mode, and --input is a
+/// .csv row file that opens.
+void check_input_mode(const bench::Cli& cli, const IngestdOptions& opt) {
+  const int modes = !opt.spool.empty() + opt.use_stdin + !opt.socket.empty() + (cli.scale != 0) +
+                    !cli.input.empty();
   if (!opt.exit_sweep && modes != 1) {
-    usage_error("pick exactly one input mode: --spool, --stdin, --socket, --scale, or --input");
+    throw Error::config("",
+                        "pick exactly one input mode: --spool, --stdin, --socket, --scale, or "
+                        "--input");
   }
   if (!cli.input.empty()) {
     const std::string& p = cli.input;
     if (p.size() < 4 || p.compare(p.size() - 4, 4, ".csv") != 0) {
-      usage_error("--input must be a .csv row file (use --spool for ccfs shards)");
+      throw Error::config("--input", "must be a .csv row file (use --spool for ccfs shards)");
     }
-    if (std::ifstream probe{p}; !probe) usage_error("cannot open --input file '" + p + "'");
+    if (std::ifstream probe{p}; !probe) throw Error::config("--input", "cannot open '" + p + "'");
   }
-  return opt;
 }
 
 /// Temporary spool directory (the --scale self-contained mode); removed
@@ -236,7 +137,7 @@ int run_daemon(bench::Cli& cli, const IngestdOptions& opt) {
   std::unique_ptr<pipeline::PullSource> src;
   const ingest::SpoolSource* spool_src = nullptr;
   std::string desc;
-  if (cli.has_scale) {
+  if (cli.scale != 0) {
     scratch.dir = fs::temp_directory_path() /
                   ("ingestd_spool." + std::to_string(seed) + "." + std::to_string(cli.scale) +
                    "." + std::to_string(::getpid()));
@@ -366,7 +267,7 @@ int run_exit_sweep(bench::Cli& cli, const IngestdOptions& opt) {
   std::ostream& os = cli.output();
   const std::uint64_t seed = cli.seed_or(20230601);
   mlab::SyntheticConfig scfg;
-  if (cli.has_scale) scfg.n_flows *= cli.scale;
+  if (cli.scale != 0) scfg.n_flows *= cli.scale;
   Rng rng{seed};
   const auto dataset = mlab::generate_dataset(scfg, rng);
 
@@ -435,16 +336,40 @@ int run_exit_sweep(bench::Cli& cli, const IngestdOptions& opt) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view a{argv[i]};
-    if (a == "--help" || a == "-h") {
-      std::cout << ingestd_usage();
-      return 0;
-    }
-  }
   return bench::guarded_main("ingestd", [&] {
-    auto cli = bench::Cli::parse(argc, argv, "ingestd");
-    const IngestdOptions opt = parse_extra(cli);
+    IngestdOptions opt;
+    constexpr std::uint64_t kMax = ~std::uint64_t{0};
+    using S = bench::Shared;
+    using pipeline::EarlyExitPolicy;
+    bench::Cli cli{
+        "ingestd",
+        {S::kSeed, S::kInput, S::kScale, S::kReadahead, S::kStrict, S::kOut, S::kReport},
+        {bench::flag_string("--spool", "DIR", "consume sealed ccfs shards from DIR", opt.spool),
+         bench::flag_switch("--stdin", "NDT CSV rows on stdin", opt.use_stdin),
+         bench::flag_string("--socket", "PATH", "NDT CSV rows on a unix domain socket",
+                            opt.socket),
+         bench::flag_switch("--follow", "spool: keep watching for new shards", opt.follow),
+         bench::flag_count("--replay", "spool: sweep the corpus N times", 1, kMax, opt.replay),
+         bench::flag_one_of("--early-exit", "off | fixed | adaptive (default off)",
+                            {EarlyExitPolicy::kOff, EarlyExitPolicy::kFixed,
+                             EarlyExitPolicy::kAdaptive},
+                            opt.policy),
+         bench::flag_number("--margin", "adaptive early-exit uncertainty band (default 0.5)",
+                            0.0, 1.0, opt.margin),
+         bench::flag_count("--window", "changepoint window, samples (default 0 = full series)",
+                           0, kMax, opt.window),
+         bench::flag_count("--epoch-flows", "flush/rotate/report cadence (default 65536)", 0,
+                           kMax, opt.epoch_flows),
+         bench::flag_string("--out-store", "BASE", "re-write the stream as rotated ccfs shards",
+                            opt.out_store),
+         bench::flag_count("--shard-flows", "output shard size cap (default 65536)", 1, kMax,
+                           opt.shard_flows),
+         bench::flag_count("--max-flows", "stop after N flows (default 0 = stream end)", 0, kMax,
+                           opt.max_flows),
+         bench::flag_switch("--exit-sweep", "run the early-exit tradeoff sweep and exit",
+                            opt.exit_sweep)}};
+    cli.parse(argc, argv);
+    check_input_mode(cli, opt);
     if (opt.exit_sweep) return run_exit_sweep(cli, opt);
     return run_daemon(cli, opt);
   });

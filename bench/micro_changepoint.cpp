@@ -8,8 +8,8 @@
 // baseline lives in BENCH_changepoint.json.
 //
 // Defines its own main() so the shared bench::Cli contract applies here too:
-// --help/--jobs/... are handled uniformly and google-benchmark only sees the
-// leftover --benchmark_* flags.
+// --help/--out/--report are handled uniformly and google-benchmark only sees
+// the arguments that are not bench::Cli flags.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -190,12 +190,15 @@ void report_pelt_rate(std::ostream& os, ccc::telemetry::RunReport& report) {
 /// The bench body; main() below routes uncaught errors through the shared
 /// guarded_main error boundary (structured message + exit-code contract).
 int run_bench(int argc, char** argv) {
-  auto cli = ccc::bench::Cli::parse(argc, argv, "micro_changepoint");
+  using S = ccc::bench::Shared;
+  ccc::bench::Cli cli{"micro_changepoint", {S::kOut, S::kReport}, {},
+                      ccc::bench::Leftovers::kPassOn};
+  cli.parse(argc, argv);
   std::vector<char*> bench_argv{argv[0]};
   for (auto& a : cli.rest) bench_argv.push_back(a.data());
   int bench_argc = static_cast<int>(bench_argv.size());
   benchmark::Initialize(&bench_argc, bench_argv.data());
-  if (benchmark::ReportUnrecognizedArguments(bench_argc, bench_argv.data())) return 1;
+  if (benchmark::ReportUnrecognizedArguments(bench_argc, bench_argv.data())) return 2;
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
 

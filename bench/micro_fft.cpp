@@ -161,12 +161,15 @@ void report_fft_rates(std::ostream& os, telemetry::RunReport& report, std::size_
 /// The bench body; main() below routes uncaught errors through the shared
 /// guarded_main error boundary (structured message + exit-code contract).
 int run_bench(int argc, char** argv) {
-  auto cli = ccc::bench::Cli::parse(argc, argv, "micro_fft");
+  using S = ccc::bench::Shared;
+  ccc::bench::Cli cli{"micro_fft", {S::kRepeat, S::kOut, S::kReport}, {},
+                      ccc::bench::Leftovers::kPassOn};
+  cli.parse(argc, argv);
   std::vector<char*> bench_argv{argv[0]};
   for (auto& a : cli.rest) bench_argv.push_back(a.data());
   int bench_argc = static_cast<int>(bench_argv.size());
   benchmark::Initialize(&bench_argc, bench_argv.data());
-  if (benchmark::ReportUnrecognizedArguments(bench_argc, bench_argv.data())) return 1;
+  if (benchmark::ReportUnrecognizedArguments(bench_argc, bench_argv.data())) return 2;
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
 

@@ -279,14 +279,16 @@ void report_events_per_sec(const char* name, bool churn, std::size_t repeat, std
 /// guarded_main error boundary (structured message + exit-code contract).
 int run_bench(int argc, char** argv) {
   using namespace ccc;
-  // Shared bench flags first; anything unrecognized (google-benchmark's
+  // Declared bench flags first; anything else (google-benchmark's
   // --benchmark_* family) passes through via cli.rest.
-  auto cli = bench::Cli::parse(argc, argv, "micro_sim");
+  using S = bench::Shared;
+  bench::Cli cli{"micro_sim", {S::kRepeat, S::kOut, S::kReport}, {}, bench::Leftovers::kPassOn};
+  cli.parse(argc, argv);
   std::vector<char*> bench_argv{argv[0]};
   for (auto& a : cli.rest) bench_argv.push_back(a.data());
   int bench_argc = static_cast<int>(bench_argv.size());
   benchmark::Initialize(&bench_argc, bench_argv.data());
-  if (benchmark::ReportUnrecognizedArguments(bench_argc, bench_argv.data())) return 1;
+  if (benchmark::ReportUnrecognizedArguments(bench_argc, bench_argv.data())) return 2;
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
 

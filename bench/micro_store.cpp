@@ -212,12 +212,15 @@ void report_write_rate(std::size_t repeat, std::ostream& os, telemetry::RunRepor
 /// guarded_main error boundary (structured message + exit-code contract).
 int run_bench(int argc, char** argv) {
   using namespace ccc;
-  auto cli = bench::Cli::parse(argc, argv, "micro_store");
+  using S = bench::Shared;
+  bench::Cli cli{"micro_store", {S::kRepeat, S::kReadahead, S::kOut, S::kReport}, {},
+                 bench::Leftovers::kPassOn};
+  cli.parse(argc, argv);
   std::vector<char*> bench_argv{argv[0]};
   for (auto& a : cli.rest) bench_argv.push_back(a.data());
   int bench_argc = static_cast<int>(bench_argv.size());
   benchmark::Initialize(&bench_argc, bench_argv.data());
-  if (benchmark::ReportUnrecognizedArguments(bench_argc, bench_argv.data())) return 1;
+  if (benchmark::ReportUnrecognizedArguments(bench_argc, bench_argv.data())) return 2;
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
 

@@ -100,18 +100,20 @@ void report_engine_rate(std::ostream& os, telemetry::RunReport& report, unsigned
 
 int run_bench(int argc, char** argv) {
   using namespace ccc;
-  auto cli = bench::Cli::parse(argc, argv, "micro_sweep");
+  using S = bench::Shared;
+  bench::Cli cli{"micro_sweep", {S::kJobs, S::kOut, S::kReport}, {}, bench::Leftovers::kPassOn};
+  cli.parse(argc, argv);
   std::vector<char*> bench_argv{argv[0]};
   for (auto& a : cli.rest) bench_argv.push_back(a.data());
   int bench_argc = static_cast<int>(bench_argv.size());
   benchmark::Initialize(&bench_argc, bench_argv.data());
-  if (benchmark::ReportUnrecognizedArguments(bench_argc, bench_argv.data())) return 1;
+  if (benchmark::ReportUnrecognizedArguments(bench_argc, bench_argv.data())) return 2;
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
 
   std::ostream& os = cli.output();
   telemetry::RunReport report{"micro_sweep", 0};
-  report_engine_rate(os, report, cli.serial ? 1 : cli.jobs);
+  report_engine_rate(os, report, cli.jobs);
   if (!report.emit(cli.report)) {
     std::cerr << "micro_sweep: cannot write --report file '" << cli.report << "'\n";
     return 2;

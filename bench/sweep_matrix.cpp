@@ -29,62 +29,33 @@ namespace {
 
 using namespace ccc;
 
-/// sweep_matrix's own flags, parsed out of cli.rest (the ingestd pattern:
-/// shared contract in bench::Cli, bench-specific surface here).
+/// sweep_matrix's own flags (the shared ones live in bench::Cli).
 struct MatrixOptions {
   std::string out_store;
   std::uint64_t flows_per_shard{512};
 };
 
-[[noreturn]] void usage_error(const std::string& msg) {
-  std::cerr << "sweep_matrix: " << msg << "\n"
-            << bench::Cli::usage("sweep_matrix")
-            << "  --out-store BASE      write per-cell results as rotated ccfs shards\n"
-               "  --flows-per-shard N   cells per output shard (default 512)\n";
-  std::exit(2);
-}
-
-MatrixOptions parse_matrix_options(const bench::Cli& cli) {
-  MatrixOptions opt;
-  const auto& rest = cli.rest;
-  for (std::size_t i = 0; i < rest.size(); ++i) {
-    const std::string& arg = rest[i];
-    auto is = [&](std::string_view flag) { return arg == flag; };
-    auto value = [&](std::string_view flag) -> const std::string& {
-      if (i + 1 >= rest.size()) usage_error(std::string{flag} + " needs a value");
-      return rest[++i];
-    };
-    if (is("--out-store")) {
-      opt.out_store = value("--out-store");
-    } else if (is("--flows-per-shard")) {
-      const std::string& v = value("--flows-per-shard");
-      char* end = nullptr;
-      errno = 0;
-      const unsigned long long n = std::strtoull(v.c_str(), &end, 10);
-      if (v.empty() || v.front() == '-' || end == nullptr || *end != '\0' || errno == ERANGE ||
-          n == 0) {
-        usage_error("invalid --flows-per-shard value '" + v + "' (want an integer >= 1)");
-      }
-      opt.flows_per_shard = n;
-    } else {
-      usage_error("unknown argument '" + arg + "'");
-    }
-  }
-  return opt;
-}
-
 }  // namespace
 
 int run_bench(int argc, char** argv) {
   using namespace ccc;
-  auto cli = bench::Cli::parse(argc, argv, "sweep_matrix");
-  const MatrixOptions mopt = parse_matrix_options(cli);
+  MatrixOptions mopt;
+  using S = bench::Shared;
+  bench::Cli cli{
+      "sweep_matrix",
+      {S::kJobs, S::kSeed, S::kDuration, S::kGrid, S::kCheckpoint, S::kResume, S::kOut,
+       S::kReport},
+      {bench::flag_string("--out-store", "BASE", "write per-cell results as rotated ccfs shards",
+                          mopt.out_store),
+       bench::flag_count("--flows-per-shard", "cells per output shard (default 512)", 1,
+                         ~std::uint64_t{0}, mopt.flows_per_shard)}};
+  cli.parse(argc, argv);
 
   sweep::GridSpec grid = sweep::GridSpec::parse(cli.grid);
-  if (cli.has_duration) grid.duration = Time::sec(cli.duration_sec);
+  grid.duration = cli.duration_or(grid.duration);
 
   sweep::SweepOptions sopt;
-  sopt.jobs = cli.serial ? 1 : cli.jobs;
+  sopt.jobs = cli.jobs;
   sopt.base_seed = cli.seed_or(sopt.base_seed);
   sopt.checkpoint_path = cli.checkpoint;
   sopt.resume = cli.resume;

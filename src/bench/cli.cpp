@@ -1,100 +1,153 @@
 #include "bench/cli.hpp"
 
-#include <cerrno>
-#include <cstdio>
+#include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <cstdlib>
 #include <exception>
 #include <iostream>
 #include <limits>
-
-#include "util/error.hpp"
+#include <sstream>
 
 namespace ccc::bench {
 
 namespace {
 
-/// Strictly positive integer, or 0 on malformed input. Overflow counts as
-/// malformed: strtol saturates at LONG_MAX with ERANGE, and truncating that
-/// into an unsigned would silently accept "--jobs 99999999999999999999" as
-/// some huge-but-bogus worker count.
-unsigned parse_positive(const char* s) {
-  if (s == nullptr || *s == '\0') return 0;
-  char* end = nullptr;
-  errno = 0;
-  const long v = std::strtol(s, &end, 10);
-  if (end == nullptr || *end != '\0' || v <= 0 || errno == ERANGE ||
-      v > static_cast<long>(std::numeric_limits<unsigned>::max())) {
-    return 0;
-  }
-  return static_cast<unsigned>(v);
+constexpr std::uint64_t kU64Max = std::numeric_limits<std::uint64_t>::max();
+
+[[noreturn]] void invalid(std::string_view flag, std::string_view v, const std::string& want) {
+  throw Error::config(std::string{flag},
+                      "invalid value '" + std::string{v} + "' (want " + want + ")");
 }
 
-bool parse_u64(const char* s, std::uint64_t& out) {
-  if (s == nullptr || *s == '\0') return false;
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long v = std::strtoull(s, &end, 0);  // 0: accept 0x...
-  // ERANGE: strtoull saturates at ULLONG_MAX — an over-range seed must be
-  // rejected, not silently clamped. strtoull also wraps "-1" to 2^64-1
-  // without an error; a leading '-' is not a seed.
-  if (end == nullptr || *end != '\0' || errno == ERANGE || *s == '-') return false;
-  out = v;
-  return true;
+/// Whole-string unsigned parse in `base`; false on garbage, sign or overflow.
+bool to_u64(std::string_view v, int base, std::uint64_t& out) {
+  const char* end = v.data() + v.size();
+  const auto [ptr, ec] = std::from_chars(v.data(), end, out, base);
+  return !v.empty() && ec == std::errc{} && ptr == end;
 }
 
-bool parse_seconds(const char* s, double& out) {
-  if (s == nullptr || *s == '\0') return false;
-  char* end = nullptr;
-  const double v = std::strtod(s, &end);
-  if (end == nullptr || *end != '\0' || !(v > 0.0)) return false;
-  out = v;
-  return true;
+/// Whole-string finite double.
+bool to_finite(std::string_view v, double& out) {
+  const char* end = v.data() + v.size();
+  const auto [ptr, ec] = std::from_chars(v.data(), end, out);
+  return !v.empty() && ec == std::errc{} && ptr == end && std::isfinite(out);
 }
 
-[[noreturn]] void die(std::string_view bench_name, const std::string& msg) {
-  std::cerr << bench_name << ": " << msg << "\n"
-            << Cli::usage(bench_name);
-  std::exit(2);
+/// A u64 in decimal (no leading zero) or 0x-hex.
+Flag flag_seed(std::string name, std::string help, std::optional<std::uint64_t>& dst) {
+  auto set = [&dst, name](std::string_view v) {
+    // Hex needs its 0x; a leading 0 on a decimal is refused rather than read
+    // as octal or as decimal, since either reading may not be the one meant.
+    std::uint64_t x = 0;
+    const bool hex = v.size() > 2 && v[0] == '0' && (v[1] == 'x' || v[1] == 'X');
+    const bool ok = hex ? to_u64(v.substr(2), 16, x)
+                        : (v.size() == 1 || v[0] != '0') && to_u64(v, 10, x);
+    if (!ok) invalid(name, v, "a u64 in decimal without leading zeros, or 0x-hex");
+    dst = x;
+  };
+  return {std::move(name), "N", std::move(help), std::move(set)};
 }
 
-/// Bounded flow/scale count, the strict contract fig2 pioneered: garbage
-/// ("abc", "12x"), negatives ("-3" — strtoull would silently wrap it),
-/// overflow, and anything past `max` are rejected, never clamped. Returns
-/// false with `err` set to the complaint (the caller decides whether that
-/// dies or is treated as absent).
-bool parse_count(const std::string& flag, const char* s, std::uint64_t max, std::uint64_t min,
-                 std::uint64_t& out, std::string& err) {
-  const std::string v = s == nullptr ? "" : s;
-  const std::string want =
-      " (want an integer >= " + std::to_string(min) + ")";
-  if (v.empty()) {
-    err = flag + " needs a value";
-    return false;
+/// Finite seconds > 0.
+Flag flag_seconds(std::string name, std::string help, std::optional<double>& dst) {
+  auto set = [&dst, name](std::string_view v) {
+    double x = 0.0;
+    if (!to_finite(v, x) || !(x > 0.0)) invalid(name, v, "finite seconds > 0");
+    dst = x;
+  };
+  return {std::move(name), "S", std::move(help), std::move(set)};
+}
+
+/// A shared flag, bound to its field in `cli`.
+Flag shared_flag(Shared s, Cli& cli) {
+  switch (s) {
+    case Shared::kJobs:
+      return flag_count("--jobs", "worker threads (default: CCC_JOBS, else all cores)", 1,
+                        std::numeric_limits<unsigned>::max(), cli.jobs);
+    case Shared::kSeed:
+      return flag_seed("--seed", "base RNG seed, decimal or 0x-hex (default: built-in)", cli.seed);
+    case Shared::kDuration:
+      return flag_seconds("--duration", "run length in seconds (default: the bench's own)",
+                          cli.duration_sec);
+    case Shared::kOut:
+      return flag_string("--out", "PATH", "write the human-readable table to PATH", cli.out);
+    case Shared::kReport:
+      return flag_string("--report", "PATH", "write a RunReport: JSONL, or CSV for *.csv",
+                         cli.report);
+    case Shared::kSerial:
+      return flag_switch("--serial", "one continuous simulation instead of per-phase runs",
+                         cli.serial);
+    case Shared::kInput:
+      return flag_string("--input", "PATH", "analyze this dataset instead of generating one",
+                         cli.input);
+    case Shared::kScale:
+      return flag_count("--scale", "dataset scale multiplier, 1..1000000", 1, 1'000'000,
+                        cli.scale);
+    case Shared::kReadahead:
+      return flag_count("--readahead", "store readahead window in flows (0 = off), a hint", 0,
+                        100'000'000, cli.readahead);
+    case Shared::kStrict:
+      return flag_switch("--strict", "fail fast on the first corrupt shard/record", cli.strict);
+    case Shared::kGrid:
+      return flag_string("--grid", "SPEC", "scenario grid, e.g. \"cca=reno,cubic;buf=0.5,2\"",
+                         cli.grid);
+    case Shared::kCheckpoint:
+      return flag_string("--checkpoint", "PATH", "journal completed cells to PATH (crash-safe)",
+                         cli.checkpoint);
+    case Shared::kResume:
+      return flag_switch("--resume", "skip cells already recorded in --checkpoint", cli.resume);
+    case Shared::kRepeat:
+      return flag_count("--repeat", "run each scope N times, keep the best (default 3)", 1,
+                        1'000, cli.repeat);
+    case Shared::kProcs:
+      return flag_count("--procs", "worker processes, one per shard group (default: in-process)",
+                        1, 256, cli.procs);
+    case Shared::kService:
+      return flag_switch("--service", "replay through the streaming elasticity service",
+                         cli.service);
   }
-  if (v.front() == '-') {
-    err = "invalid " + flag + " value '" + v + "'" + want;
-    return false;
-  }
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long x = std::strtoull(v.c_str(), &end, 10);
-  if (end == nullptr || *end != '\0' || end == v.c_str()) {
-    err = "invalid " + flag + " value '" + v + "'" + want;
-    return false;
-  }
-  if (errno == ERANGE || x > max) {
-    err = flag + " value '" + v + "' out of range (max " + std::to_string(max) + ")";
-    return false;
-  }
-  if (x < min) {
-    err = flag + " must be >= " + std::to_string(min);
-    return false;
-  }
-  out = static_cast<std::uint64_t>(x);
-  return true;
+  std::abort();
 }
 
 }  // namespace
+
+std::uint64_t parse_count(std::string_view flag, std::string_view v, std::uint64_t lo,
+                          std::uint64_t hi) {
+  std::uint64_t x = 0;
+  if (!to_u64(v, 10, x) || x < lo || x > hi) {
+    invalid(flag, v,
+            "an integer " + (hi == kU64Max ? ">= " + std::to_string(lo)
+                                           : "in [" + std::to_string(lo) + ", " +
+                                                 std::to_string(hi) + "]"));
+  }
+  return x;
+}
+
+Flag flag_switch(std::string name, std::string help, bool& dst) {
+  return {std::move(name), "", std::move(help), [&dst](std::string_view) { dst = true; }};
+}
+
+Flag flag_number(std::string name, std::string help, double lo, double hi, double& dst) {
+  auto set = [&dst, name, lo, hi](std::string_view v) {
+    double x = 0.0;
+    if (!to_finite(v, x) || x < lo || x >= hi) {
+      std::ostringstream want;
+      want << "a finite number in [" << lo << ", " << hi << ")";
+      invalid(name, v, want.str());
+    }
+    dst = x;
+  };
+  return {std::move(name), "F", std::move(help), std::move(set)};
+}
+
+Flag flag_string(std::string name, std::string metavar, std::string help, std::string& dst) {
+  auto set = [&dst, name](std::string_view v) {
+    if (v.empty()) throw Error::config(name, "needs a non-empty value");
+    dst = v;
+  };
+  return {std::move(name), std::move(metavar), std::move(help), std::move(set)};
+}
 
 int guarded_main(std::string_view bench_name, const std::function<int()>& body) {
   try {
@@ -108,168 +161,95 @@ int guarded_main(std::string_view bench_name, const std::function<int()>& body) 
   }
 }
 
-std::string Cli::usage(std::string_view bench_name) {
-  std::string u;
-  u += "usage: ";
-  u += bench_name.empty() ? "bench" : bench_name;
-  u += " [options]\n";
-  u +=
-      "  --jobs N, -jN     worker threads for the sweep (default: CCC_JOBS,\n"
-      "                    else hardware concurrency)\n"
-      "  --seed N          base RNG seed (default: the bench's built-in seed)\n"
-      "  --duration S      run length in seconds (default: bench-specific)\n"
-      "  --out PATH        write the human-readable table to PATH\n"
-      "  --report PATH     write a machine-readable RunReport; JSONL, or CSV\n"
-      "                    when PATH ends in .csv\n"
-      "  --serial          force the serial (jobs=1) code path\n"
-      "  --input PATH      analyze an existing dataset instead of generating\n"
-      "                    one (formats are bench-specific; fig2/ingestd take\n"
-      "                    .csv or .ccfs)\n"
-      "  --scale N         dataset scale multiplier, 1..1000000\n"
-      "  --readahead N     store readahead window in flows (0 = off,\n"
-      "                    max 100000000); purely a performance hint\n"
-      "  --strict          fail fast on the first corrupt shard/record\n"
-      "                    instead of the default skip-count-and-continue\n"
-      "  --grid SPEC       scenario-grid override for sweep benches, e.g.\n"
-      "                    \"cca=reno,cubic;qdisc=droptail,fq_codel;buf=0.5,2\"\n"
-      "  --checkpoint PATH journal completed cells to PATH (crash-safe)\n"
-      "  --resume          skip cells already recorded in --checkpoint\n"
-      "  --repeat N        run each measured scope N times, report the best\n"
-      "                    (micro benches; default 3, max 1000)\n"
-      "  --procs N         worker processes for the passive pipeline\n"
-      "                    (fork per shard group; default 1 = in-process,\n"
-      "                    max 256)\n"
-      "  --service         replay the scenarios through the streaming\n"
-      "                    elasticity service and score verdict agreement\n"
-      "                    against the offline classifier (fig3)\n"
-      "  --help, -h        this text\n";
+Cli::Cli(std::string_view bench_name, std::initializer_list<Shared> shared,
+         std::vector<Flag> own, Leftovers leftovers)
+    : bench_name_{bench_name}, leftovers_{leftovers} {
+  for (int i = 0; i <= static_cast<int>(Shared::kService); ++i) {
+    const auto s = static_cast<Shared>(i);
+    Flag f = shared_flag(s, *this);
+    if (std::find(shared.begin(), shared.end(), s) != shared.end()) {
+      flags_.push_back(std::move(f));
+    } else {
+      undeclared_.push_back(std::move(f.name));
+    }
+  }
+  for (Flag& f : own) flags_.push_back(std::move(f));
+}
+
+void Cli::parse(int argc, char** argv) {
+  for (int i = 1; i < argc; ++i) {
+    const std::string_view arg{argv[i]};
+    if (arg == "--help" || arg == "-h") {
+      std::cout << usage();
+      std::exit(0);
+    }
+    // Split into the flag's name and, when glued on, its value.
+    std::string_view name = arg;
+    std::optional<std::string_view> value;
+    if (arg.starts_with("--")) {
+      if (const auto eq = arg.find('='); eq != std::string_view::npos) {
+        name = arg.substr(0, eq);
+        value = arg.substr(eq + 1);
+      }
+    } else if (arg.starts_with("-j")) {
+      name = "--jobs";
+      if (arg.size() > 2) value = arg.substr(2);
+    }
+
+    const auto it = std::find_if(flags_.begin(), flags_.end(),
+                                 [&](const Flag& f) { return f.name == name; });
+    if (it == flags_.end()) {
+      if (std::find(undeclared_.begin(), undeclared_.end(), name) != undeclared_.end()) {
+        throw Error::config(std::string{name},
+                            "not a flag of " + bench_name_ + " (see --help)");
+      }
+      if (leftovers_ == Leftovers::kReject) {
+        throw Error::config("", "unknown argument '" + std::string{arg} + "' (see --help)");
+      }
+      rest.emplace_back(arg);
+      continue;
+    }
+    if (it->metavar.empty()) {
+      if (value) throw Error::config(it->name, "is a switch and takes no value");
+      it->set({});
+      continue;
+    }
+    if (!value) {
+      if (i + 1 >= argc) throw Error::config(it->name, "needs a value");
+      value = argv[++i];
+    }
+    it->set(*value);
+  }
+  // Open --out now, so an unwritable path fails before the run, not after.
+  if (!out.empty()) {
+    out_file_.open(out);
+    if (!out_file_) throw Error::config("--out", "cannot open '" + out + "'");
+  }
+}
+
+std::string Cli::usage() const {
+  const auto label = [](const Flag& f) {
+    std::string l = f.name;
+    if (!f.metavar.empty()) l += " " + f.metavar;
+    if (f.name == "--jobs") l += ", -jN";
+    return l;
+  };
+  std::size_t width = std::string_view{"--help, -h"}.size();
+  for (const Flag& f : flags_) width = std::max(width, label(f).size());
+  width += 2;
+
+  std::string u = "usage: " + bench_name_ + " [options]\n";
+  const auto line = [&](const std::string& l, const std::string& help) {
+    u += "  " + l + std::string(width - l.size(), ' ') + help + "\n";
+  };
+  for (const Flag& f : flags_) line(label(f), f.help);
+  line("--help, -h", "this text");
+  if (leftovers_ == Leftovers::kPassOn) {
+    u += "other arguments go to google-benchmark (e.g. --benchmark_filter=REGEX)\n";
+  }
   return u;
 }
 
-Cli Cli::parse(int argc, char** argv, std::string_view bench_name) {
-  Cli cli;
-  cli.bench_name_ = std::string{bench_name};
-  const bool strict = !bench_name.empty();
-
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg{argv[i]};
-    // Flags taking a value accept both "--flag V" and "--flag=V".
-    auto value_of = [&](const std::string& flag) -> const char* {
-      if (arg == flag && i + 1 < argc) return argv[++i];
-      if (arg.rfind(flag + "=", 0) == 0) return arg.c_str() + flag.size() + 1;
-      return nullptr;
-    };
-
-    if (arg == "--help" || arg == "-h") {
-      cli.help = true;
-    } else if (const char* v = value_of("--jobs"); v != nullptr) {
-      cli.jobs = parse_positive(v);
-      if (cli.jobs == 0 && strict) die(bench_name, "invalid --jobs value '" + std::string{v} + "'");
-    } else if (arg == "-j" && i + 1 < argc) {
-      cli.jobs = parse_positive(argv[++i]);
-      if (cli.jobs == 0 && strict)
-        die(bench_name, "invalid -j value '" + std::string{argv[i]} + "'");
-    } else if (arg.rfind("-j", 0) == 0 && arg.size() > 2) {
-      cli.jobs = parse_positive(arg.c_str() + 2);
-      if (cli.jobs == 0 && strict) die(bench_name, "invalid -j value '" + arg.substr(2) + "'");
-    } else if (const char* v = value_of("--seed"); v != nullptr) {
-      cli.has_seed = parse_u64(v, cli.seed);
-      if (!cli.has_seed && strict)
-        die(bench_name, "invalid --seed value '" + std::string{v} + "'");
-    } else if (const char* v = value_of("--duration"); v != nullptr) {
-      cli.has_duration = parse_seconds(v, cli.duration_sec);
-      if (!cli.has_duration && strict)
-        die(bench_name, "invalid --duration value '" + std::string{v} + "' (want seconds > 0)");
-    } else if (const char* v = value_of("--out"); v != nullptr) {
-      cli.out = v;
-    } else if (const char* v = value_of("--report"); v != nullptr) {
-      cli.report = v;
-    } else if (arg == "--serial") {
-      cli.serial = true;
-    } else if (const char* v = value_of("--input"); v != nullptr || arg == "--input") {
-      // "--input" with no following value must not be silently dropped.
-      if (v == nullptr || *v == '\0') {
-        if (strict) die(bench_name, "--input needs a path");
-      } else {
-        cli.input = v;
-      }
-    } else if (const char* v = value_of("--scale"); v != nullptr || arg == "--scale") {
-      std::uint64_t x = 0;
-      std::string err;
-      if (parse_count("--scale", v, kMaxScale, 1, x, err)) {
-        cli.scale = static_cast<std::size_t>(x);
-        cli.has_scale = true;
-      } else if (strict) {
-        die(bench_name, err);
-      }
-    } else if (const char* v = value_of("--readahead"); v != nullptr || arg == "--readahead") {
-      std::uint64_t x = 0;
-      std::string err;
-      if (parse_count("--readahead", v, kMaxReadahead, 0, x, err)) {
-        cli.readahead = static_cast<std::size_t>(x);
-      } else if (strict) {
-        die(bench_name, err);
-      }
-    } else if (arg == "--strict") {
-      cli.strict = true;
-    } else if (const char* v = value_of("--grid"); v != nullptr || arg == "--grid") {
-      // Like --input: a present-but-valueless flag must not vanish
-      // silently. The spec's content is validated by the bench's grid
-      // parser (exit 2 via guarded_main on a malformed axis), not here.
-      if (v == nullptr || *v == '\0') {
-        if (strict) die(bench_name, "--grid needs a value");
-      } else {
-        cli.grid = v;
-      }
-    } else if (const char* v = value_of("--checkpoint"); v != nullptr || arg == "--checkpoint") {
-      if (v == nullptr || *v == '\0') {
-        if (strict) die(bench_name, "--checkpoint needs a path");
-      } else {
-        cli.checkpoint = v;
-      }
-    } else if (arg == "--resume") {
-      cli.resume = true;
-    } else if (arg == "--service") {
-      cli.service = true;
-    } else if (const char* v = value_of("--repeat"); v != nullptr || arg == "--repeat") {
-      std::uint64_t x = 0;
-      std::string err;
-      if (parse_count("--repeat", v, kMaxRepeat, 1, x, err)) {
-        cli.repeat = static_cast<std::size_t>(x);
-      } else if (strict) {
-        die(bench_name, err);
-      }
-    } else if (const char* v = value_of("--procs"); v != nullptr || arg == "--procs") {
-      std::uint64_t x = 0;
-      std::string err;
-      if (parse_count("--procs", v, kMaxProcs, 1, x, err)) {
-        cli.procs = static_cast<std::size_t>(x);
-      } else if (strict) {
-        die(bench_name, err);
-      }
-    } else {
-      cli.rest.push_back(arg);
-    }
-  }
-
-  if (cli.help && strict) {
-    std::cout << usage(bench_name);
-    std::exit(0);
-  }
-  return cli;
-}
-
-std::ostream& Cli::output() {
-  if (out.empty()) return std::cout;
-  if (!out_opened_) {
-    out_file_.open(out);
-    out_opened_ = true;
-    if (!out_file_ && !bench_name_.empty()) {
-      std::cerr << bench_name_ << ": cannot open --out file '" << out << "'\n";
-      std::exit(2);
-    }
-  }
-  return out_file_;
-}
+std::ostream& Cli::output() { return out.empty() ? std::cout : out_file_; }
 
 }  // namespace ccc::bench

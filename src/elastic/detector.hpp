@@ -124,20 +124,19 @@ class DetectorGeometry {
 
 /// The streaming engine: one per probe session. Holds the sample ring plus
 /// ~3 complex states per tracked bin; all geometry is shared through the
-/// DetectorGeometry. Implements nimbus::ElasticityEstimator so a NimbusCca
-/// can adopt it directly (attach_elasticity_estimator).
-class IncrementalDetector final : public nimbus::ElasticityEstimator {
+/// DetectorGeometry.
+class IncrementalDetector {
  public:
   explicit IncrementalDetector(std::shared_ptr<const DetectorGeometry> geom);
 
   /// Absorb one z sample: O(1) while filling, O(#tracked bins) after.
-  void push(double z) override;
+  void push(double z);
   /// True once window_len samples have been absorbed (sliding regime).
-  [[nodiscard]] bool ready() const override { return filled_; }
+  [[nodiscard]] bool ready() const { return filled_; }
   /// The elasticity metric over the current window. Before the window fills
   /// this calls the offline metric on the partial window (bit-exact with
   /// it); afterwards it evaluates the sliding states.
-  [[nodiscard]] double eta(double reference_amplitude) const override;
+  [[nodiscard]] double eta(double reference_amplitude) const;
   /// eta with the geometry's configured reference amplitude.
   [[nodiscard]] double eta() const { return eta(geom_->config().metric.reference_amplitude); }
 

@@ -49,21 +49,4 @@ struct ElasticityConfig {
 /// benches and the detector agree on one constant.
 inline constexpr double kElasticThreshold = 2.0;
 
-/// Streaming replacement engine for `elasticity_metric`: an implementation
-/// consumes every z sample as it is produced and answers eta on demand
-/// without recomputing the whole window. NimbusCca can have one attached
-/// (attach_elasticity_estimator); the elastic service's IncrementalDetector
-/// implements it. The reference amplitude is supplied at evaluation time
-/// because it tracks the (moving) capacity estimate, not the window.
-class ElasticityEstimator {
- public:
-  virtual ~ElasticityEstimator() = default;
-  /// Feed one z sample (bits/sec, the same series elasticity_metric sees).
-  virtual void push(double z) = 0;
-  /// True once a full window of samples has been absorbed.
-  [[nodiscard]] virtual bool ready() const = 0;
-  /// The elasticity metric over the current window.
-  [[nodiscard]] virtual double eta(double reference_amplitude) const = 0;
-};
-
 }  // namespace ccc::nimbus

@@ -63,7 +63,6 @@ void NimbusCca::push_z(double z_bps, double z_control_bps) {
   last_z_bps_ = z_bps;
   z_series_.push_back(z_bps);
   if (z_tap_) z_tap_(z_bps);
-  if (estimator_) estimator_->push(z_bps);
   z_ewma_bps_ =
       0.95 * z_ewma_bps_ + 0.05 * std::clamp(z_control_bps, 0.0, capacity_estimate().to_bps());
   while (z_series_.size() > max_bins_) z_series_.pop_front();
@@ -140,12 +139,6 @@ void NimbusCca::account_delivery(const cca::AckEvent& ev) {
 }
 
 double NimbusCca::elasticity() const {
-  // Opt-in streaming engine: once it holds a full window it answers directly
-  // (O(#bins) state already maintained by push_z). Before that — and always,
-  // when no estimator is attached — the full-FFT path below runs unchanged.
-  if (estimator_ != nullptr && estimator_->ready()) {
-    return estimator_->eta(cfg_.pulse_amplitude * capacity_estimate().to_bps());
-  }
   // Linearize the deque into the workspace's staging buffer; the spectrum
   // scratch inside fft_ws_ is likewise reused across windows.
   std::vector<double>& z = fft_ws_.series;

@@ -29,19 +29,6 @@ std::string_view to_string(EarlyExitPolicy p) {
   return "unknown";
 }
 
-bool early_exit_policy_from_string(std::string_view s, EarlyExitPolicy& out) {
-  if (s == "off") {
-    out = EarlyExitPolicy::kOff;
-  } else if (s == "fixed") {
-    out = EarlyExitPolicy::kFixed;
-  } else if (s == "adaptive") {
-    out = EarlyExitPolicy::kAdaptive;
-  } else {
-    return false;
-  }
-  return true;
-}
-
 Verdict classify_filters(const store::FlowView& flow, const ClassifyConfig& cfg) {
   if (flow.app_limited_sec > cfg.app_limited_threshold_sec) {
     return Verdict::kFilteredAppLimited;

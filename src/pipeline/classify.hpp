@@ -60,8 +60,6 @@ enum class EarlyExitPolicy : std::uint8_t {
 };
 
 [[nodiscard]] std::string_view to_string(EarlyExitPolicy p);
-/// Parses "off" / "fixed" / "adaptive"; returns false on anything else.
-[[nodiscard]] bool early_exit_policy_from_string(std::string_view s, EarlyExitPolicy& out);
 
 struct ClassifyConfig {
   /// A flow counts as app-/rwnd-limited when the cumulative limited time

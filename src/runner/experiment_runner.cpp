@@ -8,7 +8,6 @@
 #include <string>
 #include <thread>
 
-#include "bench/cli.hpp"
 #include "runner/thread_pool.hpp"
 
 namespace ccc::runner {
@@ -31,13 +30,6 @@ unsigned resolve_jobs(unsigned requested) {
   if (const unsigned env = parse_jobs(std::getenv("CCC_JOBS")); env > 0) return env;
   const unsigned hw = std::thread::hardware_concurrency();
   return hw > 0 ? hw : 1;
-}
-
-unsigned jobs_from_cli(int argc, char** argv, unsigned fallback) {
-  // Thin wrapper over the shared bench CLI so one grammar serves both the
-  // runner and the bench binaries (non-strict parse: malformed == absent).
-  const bench::Cli cli = bench::Cli::parse(argc, argv);
-  return cli.jobs > 0 ? cli.jobs : fallback;
 }
 
 std::uint64_t derive_seed(std::uint64_t base_seed, std::uint64_t task_index) {

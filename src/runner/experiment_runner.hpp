@@ -35,10 +35,6 @@ struct RunnerOptions {
 /// consults CCC_JOBS, then hardware concurrency; never returns 0).
 [[nodiscard]] unsigned resolve_jobs(unsigned requested);
 
-/// Scans argv for `--jobs N`, `--jobs=N`, `-j N` or `-jN` and returns the
-/// parsed count, or `fallback` if the flag is absent or malformed.
-[[nodiscard]] unsigned jobs_from_cli(int argc, char** argv, unsigned fallback = 0);
-
 /// Derives an independent per-task seed from a base seed and task index
 /// (splitmix64 finalizer). Tasks seeded this way get decorrelated RNG
 /// streams that do not depend on the job count or completion order.

@@ -58,21 +58,6 @@ TEST(ResolveJobs, NeverReturnsZero) {
   EXPECT_GE(resolve_jobs(0), 1u);
 }
 
-TEST(JobsFromCli, ParsesAllSpellings) {
-  const char* argv1[] = {"bench", "--jobs", "8"};
-  EXPECT_EQ(jobs_from_cli(3, const_cast<char**>(argv1)), 8u);
-  const char* argv2[] = {"bench", "--jobs=12"};
-  EXPECT_EQ(jobs_from_cli(2, const_cast<char**>(argv2)), 12u);
-  const char* argv3[] = {"bench", "-j4"};
-  EXPECT_EQ(jobs_from_cli(2, const_cast<char**>(argv3)), 4u);
-  const char* argv4[] = {"bench", "-j", "2"};
-  EXPECT_EQ(jobs_from_cli(3, const_cast<char**>(argv4)), 2u);
-  const char* argv5[] = {"bench", "--other"};
-  EXPECT_EQ(jobs_from_cli(2, const_cast<char**>(argv5), 9), 9u);
-  const char* argv6[] = {"bench", "--jobs=-1"};
-  EXPECT_EQ(jobs_from_cli(2, const_cast<char**>(argv6), 9), 9u);
-}
-
 // --- seed isolation ---
 
 TEST(DeriveSeed, DeterministicAndDecorrelated) {
