@@ -1,10 +1,10 @@
 // The grand-matrix sweep (DESIGN.md "Sweep engine & scenario axes"): every
 // CCA x cross-traffic x qdisc x link-model x buffer-depth cell of the grid,
 // fanned out over the ExperimentRunner, checkpointed per cell, streamed
-// into ccfs shards.
+// into ccfs shards. One command line, wrapped:
 //
-//   sweep_matrix --grid "cca=reno,cubic;qdisc=droptail,fq_codel" \
-//                --checkpoint sweep.ckpt --resume \
+//   sweep_matrix --grid "cca=reno,cubic;qdisc=droptail,fq_codel"
+//                --checkpoint sweep.ckpt --resume
 //                --out-store sweep.ccfs --jobs 16
 //
 // A killed run restarts with --resume and skips every journaled cell; the

@@ -225,6 +225,11 @@ void Cli::parse(int argc, char** argv) {
     out_file_.open(out);
     if (!out_file_) throw Error::config("--out", "cannot open '" + out + "'");
   }
+  // The report is written only when the run ends (RunReport::emit); probe it
+  // now for the same reason. Append mode leaves an existing file as it is.
+  if (!report.empty() && !std::ofstream{report, std::ios::app}) {
+    throw Error::config("--report", "cannot open '" + report + "'");
+  }
 }
 
 std::string Cli::usage() const {

@@ -126,7 +126,8 @@ class Cli {
   Cli& operator=(const Cli&) = delete;
 
   /// Parses argv against the declared table; throws ccc::Error (config) on
-  /// anything else, including an `--out` path that cannot be opened.
+  /// anything else, including an `--out` or `--report` path that cannot be
+  /// opened.
   /// `--help` prints usage() and exits 0.
   void parse(int argc, char** argv);
 

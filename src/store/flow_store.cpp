@@ -22,20 +22,25 @@ namespace ccc::store {
 
 namespace {
 
-std::array<std::uint32_t, 256> make_crc_table() {
-  std::array<std::uint32_t, 256> table{};
+// Slicing-by-8 tables: kCrcTables[k][b] is the CRC register contribution of
+// byte b followed by k zero bytes, so eight bytes fold in one step of eight
+// independent lookups. kCrcTables[0] is the classic byte-at-a-time table.
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+constexpr CrcTables make_crc_tables() {
+  CrcTables t{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t c = i;
     for (int k = 0; k < 8; ++k) c = (c & 1u) ? 0xEDB8'8320u ^ (c >> 1) : c >> 1;
-    table[i] = c;
+    t[0][i] = c;
   }
-  return table;
+  for (std::size_t k = 1; k < t.size(); ++k) {
+    for (std::size_t i = 0; i < 256; ++i) t[k][i] = t[0][t[k - 1][i] & 0xFFu] ^ (t[k - 1][i] >> 8);
+  }
+  return t;
 }
 
-const std::array<std::uint32_t, 256>& crc_table() {
-  static const auto table = make_crc_table();
-  return table;
-}
+constexpr CrcTables kCrcTables = make_crc_tables();
 
 std::atomic<std::uint64_t> g_finish_errors_suppressed{0};
 
@@ -43,9 +48,19 @@ std::atomic<std::uint64_t> g_finish_errors_suppressed{0};
 
 void Crc32::update(const void* data, std::size_t len) {
   const auto* p = static_cast<const std::uint8_t*>(data);
-  const auto& table = crc_table();
+  const auto& t = kCrcTables;
   std::uint32_t c = state_;
-  for (std::size_t i = 0; i < len; ++i) c = table[(c ^ p[i]) & 0xFFu] ^ (c >> 8);
+  // The word loads assume a little-endian host, which format.hpp asserts.
+  for (; len >= 8; p += 8, len -= 8) {
+    std::uint32_t lo = 0;
+    std::uint32_t hi = 0;
+    std::memcpy(&lo, p, 4);
+    std::memcpy(&hi, p + 4, 4);
+    lo ^= c;
+    c = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^ t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^
+        t[3][hi & 0xFFu] ^ t[2][(hi >> 8) & 0xFFu] ^ t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
+  }
+  for (; len > 0; ++p, --len) c = t[0][(c ^ *p) & 0xFFu] ^ (c >> 8);
   state_ = c;
 }
 

@@ -103,10 +103,10 @@ TEST(BenchCli, DurationIsSeconds) {
 }
 
 TEST(BenchCli, OutReportAndSerialFlags) {
-  // parse() opens --out, so the tests point it at /dev/null.
-  const auto cli = parse({"--out", "/dev/null", "--report=/tmp/r.jsonl", "--serial"});
+  // parse() opens --out and --report, so the tests point them at /dev/null.
+  const auto cli = parse({"--out", "/dev/null", "--report=/dev/null", "--serial"});
   EXPECT_EQ(cli->out, "/dev/null");
-  EXPECT_EQ(cli->report, "/tmp/r.jsonl");
+  EXPECT_EQ(cli->report, "/dev/null");
   EXPECT_TRUE(cli->serial);
   EXPECT_FALSE(cli->service);
 }
@@ -403,6 +403,12 @@ TEST(BenchCli, OneOfAcceptsOnlyItsChoices) {
 TEST(BenchCli, UnopenableOutFileIsAConfigError) {
   // Rejected by parse(), before the bench does any work.
   EXPECT_TRUE(rejected({"--out", "/nonexistent-dir/table.txt"}, "--out"));
+}
+
+TEST(BenchCli, UnopenableReportFileIsAConfigError) {
+  // The report is written after the run; parse() still rejects the path up front.
+  EXPECT_TRUE(rejected({"--report", "/nonexistent-dir/r.jsonl"}, "--report"));
+  EXPECT_TRUE(rejected({"--report=/nonexistent-dir/r.csv"}, "--report"));
 }
 
 }  // namespace

@@ -1,7 +1,9 @@
 # Checks one bench binary against its flag table (ctest label `bench_cli`):
 #   - `--help` exits 0 and lists exactly the shared flags in DECLARED;
-#   - every other shared flag, `--bogus`, and each argument set in REJECT
-#     exit 2 with a message that names the offending flag.
+#   - every other shared flag, `--bogus`, an unwritable `--report` path (when
+#     --report is declared), and each argument set in REJECT exit 2 with a
+#     message that names the offending flag, and print nothing on stdout
+#     (a bench prints its table only after its run).
 #
 #   cmake -DBIN=<binary> -DDECLARED=--out,--report [-DREJECT="--margin nan|..."]
 #         -P cli_contract.cmake
@@ -31,6 +33,12 @@ foreach(flag IN LISTS shared)
     list(APPEND cases "${flag}")
   endif()
 endforeach()
+# The report is written after the run, so only a check in parse() makes this
+# exit before the bench does any work.
+list(FIND declared --report at)
+if(at GREATER -1)
+  list(APPEND cases "--report /nonexistent-dir/r.jsonl")
+endif()
 if(DEFINED REJECT)
   string(REPLACE "|" ";" extra "${REJECT}")
   list(APPEND cases ${extra})
@@ -40,10 +48,13 @@ foreach(case IN LISTS cases)
   separate_arguments(args UNIX_COMMAND "${case}")
   list(GET args 0 first)
   string(REGEX REPLACE "=.*" "" first "${first}")
-  execute_process(COMMAND "${BIN}" ${args} RESULT_VARIABLE rc OUTPUT_QUIET
+  execute_process(COMMAND "${BIN}" ${args} RESULT_VARIABLE rc OUTPUT_VARIABLE out
                   ERROR_VARIABLE err TIMEOUT 60)
   if(NOT rc EQUAL 2)
     message(FATAL_ERROR "'${case}' exited ${rc}, want 2:\n${err}")
+  endif()
+  if(NOT out STREQUAL "")
+    message(FATAL_ERROR "'${case}' exited 2 only after running:\n${out}")
   endif()
   string(FIND "${err}" "${first}" named)
   if(named EQUAL -1)

@@ -2,15 +2,19 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "mlab/synthetic.hpp"
 #include "store/convert.hpp"
 #include "store/flow_store.hpp"
 #include "util/error.hpp"
+#include "util/rng.hpp"
 
 namespace ccc::store {
 namespace {
@@ -44,6 +48,60 @@ std::vector<mlab::NdtRecord> make_dataset(std::size_t n, std::uint64_t seed = 42
   cfg.n_flows = n;
   Rng rng{seed};
   return mlab::generate_dataset(cfg, rng);
+}
+
+// Reference CRC-32 (IEEE, reflected 0xEDB88320), one byte at a time and
+// bitwise, with no tables: the oracle the sliced kernel in Crc32::update
+// must match bit for bit.
+std::uint32_t reference_crc32(const std::uint8_t* p, std::size_t len) {
+  std::uint32_t c = 0xFFFF'FFFFu;
+  for (std::size_t i = 0; i < len; ++i) {
+    c ^= p[i];
+    for (int k = 0; k < 8; ++k) c = (c & 1u) ? 0xEDB8'8320u ^ (c >> 1) : c >> 1;
+  }
+  return ~c;
+}
+
+std::vector<std::uint8_t> random_bytes(std::size_t n, std::uint64_t seed) {
+  Rng rng{seed};
+  std::vector<std::uint8_t> buf(n);
+  for (auto& b : buf) b = static_cast<std::uint8_t>(rng.engine()());
+  return buf;
+}
+
+TEST(Crc32, KnownAnswers) {
+  const std::string check = "123456789";
+  EXPECT_EQ(crc32(check.data(), check.size()), 0xCBF4'3926u);
+  EXPECT_EQ(crc32(nullptr, 0), 0u);
+  EXPECT_EQ(Crc32{}.value(), 0u);
+}
+
+TEST(Crc32, MatchesReferenceAtEveryLengthAndAlignment) {
+  // Every start offset 0..7 and length 0..64 covers each unaligned head and
+  // each tail length the 8-byte main loop can leave.
+  const auto buf = random_bytes(64 + 8, 1);
+  for (std::size_t off = 0; off < 8; ++off) {
+    for (std::size_t len = 0; len <= 64; ++len) {
+      ASSERT_EQ(crc32(buf.data() + off, len), reference_crc32(buf.data() + off, len))
+          << "offset " << off << " length " << len;
+    }
+  }
+}
+
+TEST(Crc32, MatchesReferenceOnALargeBuffer) {
+  const auto buf = random_bytes((4u << 20) + 3, 2);
+  EXPECT_EQ(crc32(buf.data(), buf.size()), reference_crc32(buf.data(), buf.size()));
+}
+
+TEST(Crc32, IncrementalUpdateEqualsOneShot) {
+  const auto buf = random_bytes(97, 3);
+  const std::uint32_t whole = reference_crc32(buf.data(), buf.size());
+  for (std::size_t split = 0; split <= buf.size(); ++split) {
+    Crc32 c;
+    c.update(buf.data(), split);
+    c.update(buf.data() + split, buf.size() - split);
+    ASSERT_EQ(c.value(), whole) << "split at " << split;
+  }
 }
 
 TEST(FlowStore, RoundTripIsBitExact) {
