@@ -5,14 +5,16 @@
 #          (the concurrency tests: runner pool, telemetry merge, the
 #          jobs-1-vs-jobs-8 pipeline determinism pin)
 #
-#   asan   -DCCC_SANITIZE=address,undefined  ctest -L "robustness|store|pipeline|ingest|sweep|elastic|sim|flow|cca|queue"
+#   asan   -DCCC_SANITIZE=address,undefined  ctest -L "robustness|store|pipeline|ingest|sweep|elastic|sim|flow|cca|queue|util"
 #          (the corrupt-input suites: the corruption matrix, faultfs drills,
 #          the store/pipeline tests, and the sweep checkpoint/journal suite —
 #          where a validation bug shows up as an OOB read/write or UB before
 #          it shows up as a wrong answer — plus the simulator core: the
 #          scheduler, link and delay-line suites, the TCP flow suite (arena
 #          handles, in-place batch inserts, scoreboard ordinals and skip
-#          links fail the same way), the CCA suite and the qdisc suite)
+#          links fail the same way), the CCA suite and the qdisc suite,
+#          and the util suite (the in-tree Mersenne Twister's state array
+#          and shifts, checked bit for bit against the standard library))
 #
 # Usage: scripts/run_sanitizers.sh [tsan|asan|all]   (default: all)
 # Build trees land in build-tsan/ and build-asan/ next to build/.
@@ -33,10 +35,10 @@ run_job() {
 
 case "${which}" in
   tsan) run_job tsan thread sanitize ;;
-  asan) run_job asan address,undefined "robustness|store|pipeline|ingest|sweep|elastic|sim|flow|cca|queue" ;;
+  asan) run_job asan address,undefined "robustness|store|pipeline|ingest|sweep|elastic|sim|flow|cca|queue|util" ;;
   all)
     run_job tsan thread sanitize
-    run_job asan address,undefined "robustness|store|pipeline|ingest|sweep|elastic|sim|flow|cca|queue"
+    run_job asan address,undefined "robustness|store|pipeline|ingest|sweep|elastic|sim|flow|cca|queue|util"
     ;;
   *)
     echo "usage: $0 [tsan|asan|all]" >&2

@@ -4,8 +4,30 @@
 // NDT dataset, jitter models) draws from an Rng seeded explicitly by the
 // scenario. Two runs with the same seed produce byte-identical output; the
 // simulator never reads wall-clock entropy.
+//
+// Which draws are fixed by this file and which by the standard library:
+//
+//   in-tree, library-independent   the engine (Mt19937_64: the standard's
+//                                  mt19937_64 algorithm, same seeding, twist
+//                                  and tempering), uniform() and every draw
+//                                  built on it (chance, bounded_pareto,
+//                                  weighted_index), normal()
+//   libstdc++-defined              exponential, lognormal, poisson,
+//                                  uniform_int: std:: distributions driven by
+//                                  the in-tree engine
+//
+// The standard fixes mt19937_64's output but leaves its distributions
+// implementation-defined. uniform() and normal() reproduce libstdc++'s
+// algorithms operation for operation (generate_canonical<double, 53> and the
+// Marsaglia polar method), so their bits match a libstdc++ build whichever
+// C++ library compiles them; normal() still takes log from the C math
+// library. The other four are called a few times per record at most, so
+// they stay std:: and follow the library they are built with.
 #pragma once
 
+#include <algorithm>
+#include <array>
+#include <cmath>
 #include <cstdint>
 #include <random>
 #include <vector>
@@ -14,16 +36,57 @@
 
 namespace ccc {
 
+/// The 64-bit Mersenne Twister (MT19937-64) with the standard's mt19937_64
+/// parameters: the same seed gives the same outputs. The twist is branch-free
+/// (the matrix term is masked in, not selected on the low bit). Models
+/// UniformRandomBitGenerator, so std:: distributions draw from it directly.
+class Mt19937_64 {
+ public:
+  using result_type = std::uint64_t;
+
+  explicit Mt19937_64(result_type seed);
+
+  static constexpr result_type min() { return 0; }
+  static constexpr result_type max() { return ~result_type{0}; }
+
+  result_type operator()() {
+    if (pos_ >= kN) twist();
+    result_type z = state_[pos_++];
+    z ^= (z >> 29) & 0x5555555555555555ULL;
+    z ^= (z << 17) & 0x71d67fffeda60000ULL;
+    z ^= (z << 37) & 0xfff7eee000000000ULL;
+    z ^= z >> 43;
+    return z;
+  }
+
+ private:
+  static constexpr std::size_t kN = 312;
+  static constexpr std::size_t kM = 156;
+
+  /// Regenerates all kN state words.
+  void twist();
+
+  std::array<result_type, kN> state_;
+  std::size_t pos_{kN};
+};
+
+/// Maps 64 random bits to [0, 1) exactly as generate_canonical<double, 53>
+/// does for a 64-bit engine: round the integer to the nearest double, scale
+/// by 2^-64, clamp a result of 1.0 to the largest double below it.
+[[nodiscard]] inline double canonical_double(std::uint64_t bits) {
+  // Both halves convert exactly; their sum is the one rounding.
+  const double hi = static_cast<double>(static_cast<std::uint32_t>(bits >> 32)) * 0x1p32;
+  const double lo = static_cast<double>(static_cast<std::uint32_t>(bits));
+  return std::min((hi + lo) * 0x1p-64, 0x1.fffffffffffffp-1);
+}
+
 /// A seeded pseudo-random source with the distributions our workloads need.
-///
-/// Wraps std::mt19937_64 (fixed algorithm across platforms, guaranteed by the
-/// standard) so results are reproducible everywhere.
 class Rng {
  public:
   explicit Rng(std::uint64_t seed) : engine_{seed} {}
 
   /// Uniform double in [0, 1).
-  [[nodiscard]] double uniform() { return unit_(engine_); }
+  [[nodiscard]] double uniform() { return canonical_double(engine_()); }
   /// Uniform double in [lo, hi).
   [[nodiscard]] double uniform(double lo, double hi) { return lo + (hi - lo) * uniform(); }
   /// Uniform integer in [lo, hi] (inclusive).
@@ -39,9 +102,20 @@ class Rng {
     return std::exponential_distribution<double>{1.0 / mean}(engine_);
   }
 
-  /// Normal (Gaussian) with mean mu and standard deviation sigma.
+  /// Normal (Gaussian) with mean mu and standard deviation sigma, by the
+  /// Marsaglia polar method. The pair's second value is discarded, so each
+  /// call consumes the same draws as a fresh libstdc++ normal_distribution.
   [[nodiscard]] double normal(double mu, double sigma) {
-    return std::normal_distribution<double>{mu, sigma}(engine_);
+    double x = 0.0;
+    double y = 0.0;
+    double r2 = 0.0;
+    do {
+      x = 2.0 * uniform() - 1.0;
+      y = 2.0 * uniform() - 1.0;
+      r2 = x * x + y * y;
+    } while (r2 > 1.0 || r2 == 0.0);
+    const double mult = std::sqrt(-2 * std::log(r2) / r2);
+    return y * mult * sigma + mu;
   }
 
   /// Log-normal parameterized by the *underlying* normal's mu/sigma.
@@ -67,11 +141,10 @@ class Rng {
   [[nodiscard]] Rng fork() { return Rng{engine_()}; }
 
   /// Access the raw engine for std distributions not wrapped above.
-  [[nodiscard]] std::mt19937_64& engine() { return engine_; }
+  [[nodiscard]] Mt19937_64& engine() { return engine_; }
 
  private:
-  std::mt19937_64 engine_;
-  std::uniform_real_distribution<double> unit_{0.0, 1.0};
+  Mt19937_64 engine_;
 };
 
 }  // namespace ccc

@@ -257,8 +257,8 @@ TEST(Fft, NextPow2ThrowsAboveLargestPowerOfTwo) {
   EXPECT_EQ(next_pow2(kMax - 1), kMax);
   // One past the largest power of two used to spin forever (p <<= 1 wraps
   // to zero); now it must throw a config error.
-  EXPECT_THROW(next_pow2(kMax + 1), Error);
-  EXPECT_THROW(next_pow2(std::numeric_limits<std::size_t>::max()), Error);
+  EXPECT_THROW((void)next_pow2(kMax + 1), Error);
+  EXPECT_THROW((void)next_pow2(std::numeric_limits<std::size_t>::max()), Error);
 }
 
 TEST(FftPlanEquivalence, WorkspaceSpectrumIdenticalEvenWhenDirty) {

@@ -2,10 +2,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <numbers>
+#include <random>
 #include <sstream>
+#include <utility>
 #include <vector>
 
+#include "runner/experiment_runner.hpp"
 #include "util/fft.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
@@ -157,6 +161,124 @@ TEST(Rng, ForkIsIndependent) {
   (void)child2;
   for (int i = 0; i < 10; ++i) (void)child.uniform();
   for (int i = 0; i < 20; ++i) EXPECT_DOUBLE_EQ(a.uniform(), b.uniform());
+}
+
+// The in-tree engine and draws must reproduce the standard library's bits:
+// the synthetic datasets, figures and store shards are pinned to them.
+
+const std::uint64_t kBitSeeds[] = {0, 1, 42, ~std::uint64_t{0}, runner::derive_seed(7, 3)};
+
+TEST(RngBits, EngineMatchesStdMt19937_64) {
+  for (const std::uint64_t seed : kBitSeeds) {
+    Mt19937_64 ours{seed};
+    std::mt19937_64 ref{seed};
+    // 10^6 outputs span 3205 twists of the 312-word state.
+    for (int i = 0; i < 1'000'000; ++i) {
+      const std::uint64_t a = ours();
+      const std::uint64_t b = ref();
+      if (a != b) FAIL() << "seed " << seed << " differs at output " << i;
+    }
+  }
+  static_assert(Mt19937_64::min() == std::mt19937_64::min());
+  static_assert(Mt19937_64::max() == std::mt19937_64::max());
+}
+
+/// An engine that returns one fixed value, to feed generate_canonical chosen bits.
+struct FixedBits {
+  using result_type = std::uint64_t;
+  static constexpr result_type min() { return 0; }
+  static constexpr result_type max() { return ~result_type{0}; }
+  result_type operator()() { return value; }
+  result_type value;
+};
+
+TEST(RngBits, CanonicalDoubleMatchesGenerateCanonical) {
+  const std::uint64_t cases[] = {0, 1, std::uint64_t{1} << 63, ~std::uint64_t{0} - 1023,
+                                 ~std::uint64_t{0}, 0x123456789abcdef1ULL,
+                                 // ties: the bit below the 53-bit mantissa set
+                                 (std::uint64_t{1} << 63) | (std::uint64_t{1} << 10),
+                                 (std::uint64_t{1} << 63) | (std::uint64_t{3} << 10)};
+  for (const std::uint64_t bits : cases) {
+    FixedBits eng{bits};
+    const double ref = std::generate_canonical<double, 53>(eng);
+    const double ours = canonical_double(bits);
+    EXPECT_EQ(std::memcmp(&ref, &ours, sizeof ref), 0) << std::hex << bits;
+    EXPECT_LT(ours, 1.0) << std::hex << bits;
+  }
+}
+
+/// Draws n values from `draw(ours)` and `draw(ref)` and memcmps them.
+template <typename Ours, typename Ref>
+void expect_same_stream(std::uint64_t seed, std::size_t n, Ours ours_draw, Ref ref_draw) {
+  Rng ours{seed};
+  std::mt19937_64 ref{seed};
+  std::vector<double> a(n);
+  std::vector<double> b(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    a[i] = ours_draw(ours);
+    b[i] = ref_draw(ref);
+  }
+  EXPECT_EQ(std::memcmp(a.data(), b.data(), n * sizeof(double)), 0) << "seed " << seed;
+}
+
+TEST(RngBits, UniformMatchesStdUniformReal) {
+  for (const std::uint64_t seed : kBitSeeds) {
+    expect_same_stream(
+        seed, 200'000, [](Rng& r) { return r.uniform(); },
+        [](std::mt19937_64& e) { return std::uniform_real_distribution<double>{0.0, 1.0}(e); });
+  }
+}
+
+TEST(RngBits, NormalMatchesFreshStdNormalPerCall) {
+  // Callers build one distribution per draw, so the polar method's second
+  // value is always dropped; a fresh std::normal_distribution per call is
+  // the stream to match.
+  const std::pair<double, double> params[] = {{0.0, 1.0}, {5.0, 0.3}, {-2.5, 7.0}, {1e6, 1e-3}};
+  for (const std::uint64_t seed : kBitSeeds) {
+    for (const auto& [mu, sigma] : params) {
+      expect_same_stream(
+          seed, 100'000, [mu = mu, sigma = sigma](Rng& r) { return r.normal(mu, sigma); },
+          [mu = mu, sigma = sigma](std::mt19937_64& e) {
+            return std::normal_distribution<double>{mu, sigma}(e);
+          });
+    }
+  }
+}
+
+TEST(RngBits, NormalWithZeroSigmaIsMuAndKeepsTheStream) {
+  // A zero noise level (e.g. SyntheticConfig::noise_cv = 0) must return mu
+  // and still consume the draws a unit normal would, so later draws line up.
+  // std::normal_distribution rejects sigma 0 under _GLIBCXX_ASSERTIONS, so
+  // the reference is a unit normal.
+  for (const std::uint64_t seed : kBitSeeds) {
+    Rng ours{seed};
+    std::mt19937_64 ref{seed};
+    for (int i = 0; i < 10'000; ++i) {
+      ASSERT_EQ(ours.normal(3.0, 0.0), 3.0);
+      (void)std::normal_distribution<double>{0.0, 1.0}(ref);
+    }
+    ASSERT_EQ(ours.engine()(), ref());
+  }
+}
+
+TEST(RngBits, StdDistributionsDrawTheSameStream) {
+  for (const std::uint64_t seed : kBitSeeds) {
+    Rng ours{seed};
+    std::mt19937_64 ref{seed};
+    for (int i = 0; i < 20'000; ++i) {
+      const double mean = 0.5 + (i % 7);
+      ASSERT_EQ(ours.exponential(mean), std::exponential_distribution<double>{1.0 / mean}(ref));
+      ASSERT_EQ(ours.lognormal(1.0, 0.5), (std::lognormal_distribution<double>{1.0, 0.5}(ref)));
+      ASSERT_EQ(ours.poisson(mean * 10), std::poisson_distribution<std::int64_t>{mean * 10}(ref));
+      ASSERT_EQ(ours.uniform_int(-3, 1000 + i),
+                (std::uniform_int_distribution<std::int64_t>{-3, 1000 + i}(ref)));
+    }
+    Rng child = ours.fork();
+    std::mt19937_64 ref_child{ref()};
+    for (int i = 0; i < 1000; ++i) ASSERT_EQ(child.engine()(), ref_child());
+    // The parent stream continues in step after the fork.
+    ASSERT_EQ(ours.engine()(), ref());
+  }
 }
 
 // ---------- stats ----------
