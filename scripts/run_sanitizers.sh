@@ -5,7 +5,7 @@
 #          (the concurrency tests: runner pool, telemetry merge, the
 #          jobs-1-vs-jobs-8 pipeline determinism pin)
 #
-#   asan   -DCCC_SANITIZE=address,undefined  ctest -L "robustness|store|pipeline|ingest|sweep|elastic|sim|flow|cca|queue|util"
+#   asan   -DCCC_SANITIZE=address,undefined  ctest -L "robustness|store|pipeline|ingest|sweep|elastic|sim|flow|cca|queue|util|mlab"
 #          (the corrupt-input suites: the corruption matrix, faultfs drills,
 #          the store/pipeline tests, and the sweep checkpoint/journal suite —
 #          where a validation bug shows up as an OOB read/write or UB before
@@ -13,8 +13,10 @@
 #          scheduler, link and delay-line suites, the TCP flow suite (arena
 #          handles, in-place batch inserts, scoreboard ordinals and skip
 #          links fail the same way), the CCA suite and the qdisc suite,
-#          and the util suite (the in-tree Mersenne Twister's state array
-#          and shifts, checked bit for bit against the standard library))
+#          the util suite (the in-tree Mersenne Twister's state and
+#          tempered-output arrays and shifts, checked bit for bit against
+#          the standard library) and the mlab suite (the pinned synthetic
+#          NDT stream, which draws through that engine))
 #
 # Usage: scripts/run_sanitizers.sh [tsan|asan|all]   (default: all)
 # Build trees land in build-tsan/ and build-asan/ next to build/.
@@ -35,10 +37,10 @@ run_job() {
 
 case "${which}" in
   tsan) run_job tsan thread sanitize ;;
-  asan) run_job asan address,undefined "robustness|store|pipeline|ingest|sweep|elastic|sim|flow|cca|queue|util" ;;
+  asan) run_job asan address,undefined "robustness|store|pipeline|ingest|sweep|elastic|sim|flow|cca|queue|util|mlab" ;;
   all)
     run_job tsan thread sanitize
-    run_job asan address,undefined "robustness|store|pipeline|ingest|sweep|elastic|sim|flow|cca|queue|util"
+    run_job asan address,undefined "robustness|store|pipeline|ingest|sweep|elastic|sim|flow|cca|queue|util|mlab"
     ;;
   *)
     echo "usage: $0 [tsan|asan|all]" >&2

@@ -83,6 +83,7 @@ FlowStoreWriter::FlowStoreWriter(std::string path)
   hdr.version = kFormatVersion;
   file_.write(&hdr, sizeof hdr);
   pos_ = sizeof hdr;  // header excluded from the CRC (patched at finish)
+  buf_.reserve(kWriteBufferBytes);
 }
 
 FlowStoreWriter::~FlowStoreWriter() {
@@ -109,9 +110,23 @@ FlowStoreWriter::~FlowStoreWriter() {
 }
 
 void FlowStoreWriter::write_crc(const void* data, std::size_t len) {
-  file_.write(data, len);
+  // The CRC and offset move only once the bytes are written or buffered, so
+  // a failed flush leaves them as they were.
+  if (buf_.size() + len > kWriteBufferBytes) flush();
+  if (len >= kWriteBufferBytes) {
+    file_.write(data, len);
+  } else {
+    const auto* p = static_cast<const std::uint8_t*>(data);
+    buf_.insert(buf_.end(), p, p + len);
+  }
   crc_.update(data, len);
   pos_ += len;
+}
+
+void FlowStoreWriter::flush() {
+  if (buf_.empty()) return;
+  file_.write(buf_.data(), buf_.size());
+  buf_.clear();
 }
 
 void FlowStoreWriter::pad_to_alignment() {
@@ -122,7 +137,7 @@ void FlowStoreWriter::pad_to_alignment() {
 
 void FlowStoreWriter::append(const FlowView& flow) {
   if (finished_) throw Error::config(path_, "ccfs: append after finish");
-  // The series streams to disk immediately; only scalars are buffered.
+  // The series goes out through the write buffer; the scalars wait for finish().
   if (!flow.throughput_mbps.empty()) {
     write_crc(flow.throughput_mbps.data(), flow.throughput_mbps.size_bytes());
   }
@@ -142,6 +157,7 @@ void FlowStoreWriter::append(const FlowView& flow) {
 void FlowStoreWriter::abandon() {
   if (finished_) return;
   finished_ = true;  // suppress the destructor's auto-finish: no footer
+  buf_.clear();      // unflushed bytes are dropped, as a crash would drop them
   try {
     file_.close_checked();
   } catch (...) {
@@ -181,6 +197,7 @@ void FlowStoreWriter::finish() {
   const auto count = static_cast<std::uint32_t>(directory.size());
   write_crc(&count, sizeof count);
   write_crc(directory.data(), directory.size() * sizeof(DirectoryEntry));
+  flush();
 
   Footer footer{};
   footer.directory_offset = directory_offset;

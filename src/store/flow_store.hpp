@@ -1,11 +1,12 @@
 // FlowStoreWriter / FlowStoreReader — ingest and zero-copy scan of ccfs
 // files (see format.hpp for the layout and the rationale).
 //
-// Writer: append-only and streaming. Each append writes the record's
-// throughput series straight to disk and buffers only the fixed-width
-// scalar columns (~74 bytes/flow), so ingesting 10^7 flows needs tens of
-// megabytes of memory, not gigabytes. finish() lays down the columns,
-// directory, and CRC footer.
+// Writer: append-only and streaming. Each append copies the record's
+// throughput series into one 64 KiB write buffer (flushed when the next
+// piece would overflow it; a piece of 64 KiB or more is written directly)
+// and keeps the fixed-width scalar columns: ~74 B a flow plus one 64 KiB
+// buffer, so ingesting 10^7 flows needs tens of megabytes, not gigabytes.
+// finish() lays down the columns, directory, and CRC footer.
 //
 // Reader: maps the file read-only and serves columns as spans into the
 // mapping — no per-flow allocation, no copy. A FlowView is a handful of
@@ -104,11 +105,12 @@ class FlowStoreWriter {
   /// whether their data actually landed call finish() explicitly.
   void finish();
 
-  /// Walks away from the file without sealing it: closes the fd, writes no
-  /// directory/footer, suppresses the destructor's auto-finish. What's on
-  /// disk is whatever the streamed appends already wrote — a torn shard a
-  /// reader must reject. This is the in-process stand-in for SIGKILL, used
-  /// by the crash-recovery tests; a daemon never calls it on purpose.
+  /// Walks away from the file without sealing it: closes the fd, discards
+  /// the write buffer, writes no directory/footer, suppresses the
+  /// destructor's auto-finish. What's on disk is whatever earlier flushes
+  /// already wrote — a torn shard a reader must reject. This is the
+  /// in-process stand-in for SIGKILL, used by the crash-recovery tests; a
+  /// daemon never calls it on purpose.
   void abandon();
 
   /// Optional registry for the destructor's suppressed-error counter. The
@@ -120,7 +122,13 @@ class FlowStoreWriter {
   [[nodiscard]] std::uint64_t samples() const { return sample_count_; }
 
  private:
+  static constexpr std::size_t kWriteBufferBytes = 64 * 1024;
+
+  /// Adds bytes to the CRC'd stream: buffered, or written directly when
+  /// they alone fill the buffer.
   void write_crc(const void* data, std::size_t len);
+  /// Writes out and empties the buffer.
+  void flush();
   void pad_to_alignment();
 
   std::string path_;
@@ -128,10 +136,11 @@ class FlowStoreWriter {
   telemetry::MetricRegistry* metrics_{nullptr};
   bool finished_{false};
   Crc32 crc_;
-  std::uint64_t pos_{0};  // current file offset (mirror of tellp)
+  std::uint64_t pos_{0};  // file offset of the next CRC'd byte, buffered or not
+  std::vector<std::uint8_t> buf_;  // CRC'd bytes not yet written; reserved once
   std::uint64_t sample_count_{0};
 
-  // Buffered scalar columns (the series pool streams to disk directly).
+  // Scalar columns, held until finish() (the series pool goes through buf_).
   std::vector<std::uint64_t> ids_;
   std::vector<std::uint8_t> access_;
   std::vector<std::uint8_t> truth_;

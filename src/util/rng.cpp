@@ -31,6 +31,14 @@ void Mt19937_64::twist() {
     state_[k] = mix(state_[k], state_[k + 1], state_[k + kM - kN]);
   }
   state_[kN - 1] = mix(state_[kN - 1], state_[0], state_[kM - 1]);
+  for (std::size_t k = 0; k < kN; ++k) {
+    result_type z = state_[k];
+    z ^= (z >> 29) & 0x5555555555555555ULL;
+    z ^= (z << 17) & 0x71d67fffeda60000ULL;
+    z ^= (z << 37) & 0xfff7eee000000000ULL;
+    z ^= z >> 43;
+    out_[k] = z;
+  }
   pos_ = 0;
 }
 

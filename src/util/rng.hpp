@@ -38,7 +38,9 @@ namespace ccc {
 
 /// The 64-bit Mersenne Twister (MT19937-64) with the standard's mt19937_64
 /// parameters: the same seed gives the same outputs. The twist is branch-free
-/// (the matrix term is masked in, not selected on the low bit). Models
+/// (the matrix term is masked in, not selected on the low bit). Tempering
+/// happens a block at a time: twist() tempers all kN new words into out_, so
+/// a draw is one array load, off the tempering's dependent chain. Models
 /// UniformRandomBitGenerator, so std:: distributions draw from it directly.
 class Mt19937_64 {
  public:
@@ -51,22 +53,18 @@ class Mt19937_64 {
 
   result_type operator()() {
     if (pos_ >= kN) twist();
-    result_type z = state_[pos_++];
-    z ^= (z >> 29) & 0x5555555555555555ULL;
-    z ^= (z << 17) & 0x71d67fffeda60000ULL;
-    z ^= (z << 37) & 0xfff7eee000000000ULL;
-    z ^= z >> 43;
-    return z;
+    return out_[pos_++];
   }
 
  private:
   static constexpr std::size_t kN = 312;
   static constexpr std::size_t kM = 156;
 
-  /// Regenerates all kN state words.
+  /// Regenerates all kN state words and tempers them into out_.
   void twist();
 
   std::array<result_type, kN> state_;
+  std::array<result_type, kN> out_;  // tempered state_; first filled by twist()
   std::size_t pos_{kN};
 };
 

@@ -397,9 +397,11 @@ TEST(FaultFs, TornWriteIsRejectedAtOpen) {
   TempPath p{"robust_torn.ccfs"};
   {
     // Tear mid-pool: the writer "succeeds" (power-cut semantics — nothing
-    // to report at write time), leaving a file the reader must reject.
-    PlanGuard plan{faultfs::FaultKind::kTornWrite, 5, fs::path(p.str()).filename().string()};
-    store::write_store(p.str(), make_dataset(64));
+    // to report at write time), leaving a file the reader must reject. The
+    // series pool leaves in 64 KiB flushes after the header (write 0); 256
+    // flows span several, so write 2 is the second flush, mid-pool.
+    PlanGuard plan{faultfs::FaultKind::kTornWrite, 2, fs::path(p.str()).filename().string()};
+    store::write_store(p.str(), make_dataset(256));
     EXPECT_GT(faultfs::faults_injected(), 0u);
   }
   try {
@@ -430,13 +432,14 @@ TEST(WriterDestructor, SuppressedFinishErrorIsCountedAndWarned) {
   telemetry::MetricRegistry reg;
   const std::uint64_t before = store::finish_errors_suppressed();
   {
-    // Let construction and appends succeed, then fail a finish-time write;
-    // the destructor must swallow the error (never std::terminate) and
-    // leave an audit trail in both counters.
+    // Let construction and appends succeed, then fail the first finish-time
+    // write (the flush of the buffered pool and columns); the destructor
+    // must swallow the error (never std::terminate) and leave an audit
+    // trail in both counters.
     store::FlowStoreWriter w{p.str()};
     w.set_metrics(&reg);
     for (const auto& rec : make_dataset(4)) w.append(rec);
-    faultfs::set_plan({faultfs::FaultKind::kFailWrite, 6,
+    faultfs::set_plan({faultfs::FaultKind::kFailWrite, 0,
                        fs::path(p.str()).filename().string()});
   }
   faultfs::clear_plan();
@@ -450,7 +453,8 @@ TEST(WriterDestructor, ExplicitFinishSeesTheErrorInstead) {
   {
     store::FlowStoreWriter w{p.str()};
     for (const auto& rec : make_dataset(4)) w.append(rec);
-    PlanGuard plan{faultfs::FaultKind::kFailWrite, 6,
+    // The first finish-time write: the flush of the buffered bytes.
+    PlanGuard plan{faultfs::FaultKind::kFailWrite, 0,
                    fs::path(p.str()).filename().string()};
     EXPECT_THROW(w.finish(), Error);
   }

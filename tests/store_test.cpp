@@ -2,10 +2,12 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -14,6 +16,7 @@
 #include "store/convert.hpp"
 #include "store/flow_store.hpp"
 #include "util/error.hpp"
+#include "util/faultfs.hpp"
 #include "util/rng.hpp"
 
 namespace ccc::store {
@@ -312,6 +315,89 @@ TEST(FlowStore, AppendAfterFinishThrows) {
   w.append(mlab::NdtRecord{});
   w.finish();
   EXPECT_THROW(w.append(mlab::NdtRecord{}), std::runtime_error);
+}
+
+// ------------------------------------------------- write buffer and bytes
+
+/// About 1 MB of flows whose series sizes hit every edge of the writer's
+/// 64 KiB buffer: empty, one sample, a run that fills the buffer exactly
+/// (pool bytes 0..64 KiB), an empty flow right after it, one series larger
+/// than the buffer, then a thousand ordinary flows. Every value is a
+/// function of the index (no Rng, no synthetic generator), so the file's
+/// bytes depend on the writer alone.
+std::vector<mlab::NdtRecord> buffer_edge_dataset() {
+  constexpr std::size_t kBufferSamples = 64 * 1024 / sizeof(double);
+  std::vector<std::size_t> lengths{0, 1, kBufferSamples - 1, 0, kBufferSamples + 1000};
+  for (std::size_t i = 0; i < 1000; ++i) lengths.push_back(1 + (i * 37) % 200);
+  std::vector<mlab::NdtRecord> out;
+  out.reserve(lengths.size());
+  for (std::size_t i = 0; i < lengths.size(); ++i) {
+    mlab::NdtRecord r;
+    r.id = 1'000'000 + 3 * i;
+    r.access = static_cast<mlab::AccessType>(i % 5);
+    r.truth = static_cast<mlab::FlowArchetype>(i % 7);
+    r.duration_sec = 0.5 + 0.25 * static_cast<double>(i % 40);
+    r.app_limited_sec = r.duration_sec * static_cast<double>(i % 4) / 8;
+    r.rwnd_limited_sec = r.duration_sec * static_cast<double>(i % 3) / 16;
+    r.mean_throughput_mbps = 1.0 + 0.125 * static_cast<double>(i);
+    r.min_rtt_ms = 5.0 + static_cast<double>(i % 90);
+    r.snapshot_interval_sec = (i % 2 == 0) ? 0.1 : 0.05;
+    r.throughput_mbps.resize(lengths[i]);
+    for (std::size_t k = 0; k < lengths[i]; ++k) {
+      r.throughput_mbps[k] = static_cast<double>(i) + 0.001 * static_cast<double>(k);
+    }
+    out.push_back(std::move(r));
+  }
+  return out;
+}
+
+std::uint64_t fnv1a_file(const std::string& path) {
+  std::ifstream f{path, std::ios::binary};
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (std::istreambuf_iterator<char> it{f}, end; it != end; ++it) {
+    h = (h ^ static_cast<std::uint8_t>(*it)) * 0x100000001b3ULL;
+  }
+  return h;
+}
+
+TEST(Store, WriterBatchesItsWrites) {
+  const auto dataset = buffer_edge_dataset();
+  TempPath p{"store_batched.ccfs"};
+  write_store(p.str(), dataset);
+  const std::uint64_t bytes = fs::file_size(p.str());
+  ASSERT_GT(bytes, 900'000u);
+
+  // The header, the footer and the header patch are one write each and the
+  // oversized series goes out on its own; everything else leaves in
+  // flushes of nearly 64 KiB. A writer that issues more writes than this
+  // (one a flow, say) trips the fault and throws.
+  const std::uint64_t max_writes = bytes / (64 * 1024) + 5;
+  faultfs::set_plan({faultfs::FaultKind::kFailWrite, max_writes, fs::path(p.str()).filename().string()});
+  EXPECT_NO_THROW(write_store(p.str(), dataset));
+  const std::uint64_t injected = faultfs::faults_injected();
+  faultfs::clear_plan();
+  EXPECT_EQ(injected, 0u) << "the writer issued more than " << max_writes << " writes";
+
+  FlowStoreReader reader{p.str()};  // verifies the CRC at open
+  ASSERT_EQ(reader.size(), dataset.size());
+  for (std::size_t i = 0; i < dataset.size(); ++i) {
+    const auto v = reader.at(i);
+    EXPECT_EQ(v.id, dataset[i].id);
+    ASSERT_EQ(v.throughput_mbps.size(), dataset[i].throughput_mbps.size()) << "flow " << i;
+    EXPECT_TRUE(std::equal(v.throughput_mbps.begin(), v.throughput_mbps.end(),
+                           dataset[i].throughput_mbps.begin()))
+        << "flow " << i;
+  }
+}
+
+TEST(Store, FileBytesArePinned) {
+  // FNV-1a over the whole file, taken from the unbuffered writer that wrote
+  // one series a syscall: buffering changes when bytes reach the disk, never
+  // which bytes.
+  TempPath p{"store_pinned.ccfs"};
+  write_store(p.str(), buffer_edge_dataset());
+  const std::uint64_t h = fnv1a_file(p.str());
+  EXPECT_EQ(h, 0x48281e83f6649315ULL) << std::hex << h;
 }
 
 TEST(ShardedWriter, RollsOverAndConcatenatesInOrder) {

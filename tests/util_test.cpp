@@ -281,6 +281,49 @@ TEST(RngBits, StdDistributionsDrawTheSameStream) {
   }
 }
 
+TEST(RngBits, CopyContinuesIdenticallyAtEveryBlockPosition) {
+  // The engine hands out a tempered block of 312 words; a copy must carry
+  // the block and the position in it, including before the first twist (0),
+  // on the block's last word (311) and on the boundary itself (312).
+  for (const std::size_t drawn : {0, 1, 157, 311, 312, 313, 623, 624, 1000}) {
+    Rng original{42};
+    std::mt19937_64 ref{42};
+    for (std::size_t i = 0; i < drawn; ++i) (void)original.engine()();
+    ref.discard(drawn);
+    Rng copy = original;
+    Rng assigned{7};
+    assigned = original;
+    for (int i = 0; i < 1000; ++i) {
+      const auto want = ref();
+      ASSERT_EQ(original.engine()(), want) << "drawn " << drawn << ", i " << i;
+      ASSERT_EQ(copy.engine()(), want) << "drawn " << drawn << ", i " << i;
+      ASSERT_EQ(assigned.engine()(), want) << "drawn " << drawn << ", i " << i;
+    }
+  }
+}
+
+TEST(RngBits, ForkAndUniformIntAcrossABlockBoundary) {
+  // Start a few words short of the first block boundary so the draws below
+  // straddle it. The range 2^63 + 1 rejects about half of the engine's
+  // words, so uniform_int takes a variable number of them per call.
+  constexpr std::int64_t kHalf = std::int64_t{1} << 62;
+  for (std::size_t start = 305; start <= 312; ++start) {
+    Rng ours{runner::derive_seed(7, 3)};
+    std::mt19937_64 ref{runner::derive_seed(7, 3)};
+    for (std::size_t i = 0; i < start; ++i) (void)ours.engine()();
+    ref.discard(start);
+    for (int i = 0; i < 8; ++i) {
+      ASSERT_EQ(ours.uniform_int(-kHalf, kHalf),
+                (std::uniform_int_distribution<std::int64_t>{-kHalf, kHalf}(ref)))
+          << "start " << start << ", i " << i;
+      Rng child = ours.fork();
+      std::mt19937_64 ref_child{ref()};
+      for (int k = 0; k < 400; ++k) ASSERT_EQ(child.engine()(), ref_child());
+    }
+    ASSERT_EQ(ours.engine()(), ref());
+  }
+}
+
 // ---------- stats ----------
 
 TEST(Stats, RunningStatsBasics) {
